@@ -159,7 +159,6 @@ def run_bench() -> dict:
     ).count()
 
     sig_cols = ["image_id", "caption", "phash"]
-    pool = max(2, NUM_CPUS - 2)
 
     # signatures/sec (north-rule throughput metric): signature stage
     # alone, task-based (state is tiny + seed-derived), counted without
@@ -184,7 +183,7 @@ def run_bench() -> dict:
     # partitions auto-sized from input rows (capped at cluster CPUs) —
     # forcing NUM_CPUS partitions pays ~0.1s aggregator spawn per
     # partition per shuffle, ~25% of flagship wall at this corpus size
-    cfg = DedupConfig(signature_concurrency=pool)
+    cfg = DedupConfig()
     ds = rd.read_parquet(img_path, columns=sig_cols + ["w", "h", "fmt"])
     out = dedup_pipeline(ds, cfg)
     clusters = out["clusters"]
@@ -430,9 +429,7 @@ def run_rehearsal() -> dict:
         lambda t: t, batch_format="pyarrow", num_cpus=1
     ).count()
 
-    cfg = DedupConfig(
-        signature_concurrency=max(2, NUM_CPUS - 2), max_driver_edges=0
-    )
+    cfg = DedupConfig(max_driver_edges=0)
     ds = rd.read_parquet(img_path, columns=["image_id", "caption", "phash", "w", "h", "fmt"])
     t0 = time.perf_counter()
     out = dedup_pipeline(ds, cfg)

@@ -109,13 +109,17 @@ class AsyncLshInsertionSession:
     """Async buffered-insert context (reference
     ``AsyncMinHashLSHInsertionSession``, aio/lsh.py:357-376): inserts
     accumulate client-side and flush as one packed ``insert_batch`` RPC
-    fan-out per ``batch_size`` keys, and on ``__aexit__``."""
+    fan-out per ``batch_size`` keys, and on ``__aexit__``. Each flush
+    uses the ``check_duplication`` flag of the latest ``insert``. As in
+    the sync sessions, ``__aexit__`` on an exception drops the buffer
+    unflushed."""
 
     def __init__(self, lsh: AsyncMinHashLshSession, batch_size: int):
         self.lsh = lsh
         self.batch_size = batch_size
         self._keys: list = []
         self._sigs: list[np.ndarray] = []
+        self._check = True
 
     async def __aenter__(self) -> "AsyncLshInsertionSession":
         return self
@@ -127,18 +131,16 @@ class AsyncLshInsertionSession:
     async def insert(self, key, sig, check_duplication: bool = True) -> None:
         self._keys.append(key)
         self._sigs.append(np.asarray(sig))
+        self._check = check_duplication
         if len(self._keys) >= self.batch_size:
-            await self._flush(check_duplication)
+            await self.close()
 
     async def close(self) -> None:
-        await self._flush(True)
-
-    async def _flush(self, check_duplication: bool) -> None:
         if not self._keys:
             return
         keys, sigs = self._keys, np.stack(self._sigs)
         self._keys, self._sigs = [], []
-        await self.lsh.insert_batch(keys, sigs, check_duplication)
+        await self.lsh.insert_batch(keys, sigs, self._check)
 
 
 class AsyncLshDeleteSession:

@@ -172,9 +172,12 @@ class BandBloomFilter:
         import struct
 
         head = struct.calcsize("<IIQQdI")
+        if len(buf) < head:
+            raise ValueError("BandBloomFilter buffer shorter than its header")
         b, r, n_items, m_bits, fp, k = struct.unpack("<IIQQdI", buf[:head])
         out = cls(b, r, n_items, fp)
-        assert out.m_bits == m_bits and out.k == k
+        if out.m_bits != m_bits or out.k != k:
+            raise ValueError("BandBloomFilter header does not match its parameters")
         out.bits = np.frombuffer(buf[head:], dtype=np.uint8).reshape(b, m_bits // 8).copy()
         return out
 

@@ -132,7 +132,8 @@ class _BitWriter:
             self.write(0, 8 - self.nbuf)
 
     def tobytes(self) -> bytes:
-        assert self.nbuf == 0
+        if self.nbuf:
+            raise ValueError("bit writer is not byte-aligned; call align() first")
         return bytes(self.out)
 
 

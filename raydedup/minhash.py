@@ -177,24 +177,6 @@ def band_keys(sig: np.ndarray, b: int, r: int) -> list[list[bytes]]:
     return out
 
 
-def band_keys_columns(sig: np.ndarray, b: int, r: int):
-    """Vectorized band-key rendering for the band-explode stage.
-
-    Returns ``(band_idx, key_bytes_list)`` where ``band_idx`` is
-    ``int32[n*b]`` (row-major: row0 bands 0..b-1, row1 ...) and
-    ``key_bytes_list`` is a list of ``n*b`` bytes objects of length
-    ``8*r`` each — ready to zip with a repeated id column.
-    """
-    sig = np.ascontiguousarray(sig, dtype=np.uint64)
-    n = sig.shape[0]
-    used = sig[:, : b * r].byteswap().reshape(n * b, r)
-    buf = used.tobytes()
-    w = 8 * r
-    keys = [buf[i * w : (i + 1) * w] for i in range(n * b)]
-    band_idx = np.tile(np.arange(b, dtype=np.int32), n)
-    return band_idx, keys
-
-
 def cardinality_estimate(sig: np.ndarray) -> np.ndarray:
     """MinHash cardinality estimate ``num_perm / sum(hv / max_hash) - 1``
     (reference ``datasketch/minhash.py:326-335``). Works on (P,) or (N, P)."""
@@ -262,83 +244,3 @@ def cardinality_estimate_exact(sig: np.ndarray) -> np.ndarray:
     num_perm = sig.shape[1]
     s = sig.sum(axis=1).astype(np.float64)  # ≤ P·2^32 — exact in f64
     return (float(num_perm) * float(int(MAX_HASH))) / s - 1.0
-
-
-# --------------------------------------------------------------- GPU variant
-def _cupy_or_none():
-    """Import-try CuPy (no GPU/libraries in this sandbox — gated, never
-    required). Returns (xp, scatter_min) or (None, None)."""
-    try:  # pragma: no cover - no GPU in the test environment
-        import cupy as cp
-        import cupyx
-
-        return cp, cupyx.scatter_min
-    except Exception:
-        return None, None
-
-
-def minhash_batch_xp(
-    token_lists: list,
-    a: np.ndarray,
-    b: np.ndarray,
-    xp=None,
-    scatter_min=None,
-    hashfunc: str = "sha1",
-    memo: dict | None = None,
-    chunk_tokens: int = 1_048_576,
-) -> np.ndarray:
-    """Array-module-dispatched signature kernel — the reference's CuPy
-    ``update_batch`` parity path (``datasketch/minhash.py:18-22,281-291``
-    selects ``cupy`` as its array module when available).
-
-    Token hashing (SHA1 over bytes) stays on CPU; the permute / Mersenne
-    reduction / segment-min runs on ``xp`` (CuPy when present). The
-    segment-min uses ``scatter_min(out, row_ids, values)`` because
-    ``minimum.reduceat`` has no CuPy equivalent — on CPU that shim is
-    ``np.minimum.at``, which is why the CPU production kernel
-    (:func:`minhash_batch`) keeps its faster reduceat layout and this
-    variant exists only for GPU offload + conformance testing.
-
-    Bit-exact with :func:`minhash_batch` (asserted in
-    tests/test_kernels.py with ``xp=numpy``).
-    """
-    if xp is None:
-        xp, scatter_min = _cupy_or_none()
-        if xp is None:
-            return minhash_batch(token_lists, a, b, memo=memo, hashfunc=hashfunc)
-
-    num_perm = len(a)
-    n = len(token_lists)
-    sig_host = np.full((n, num_perm), MAX_HASH, dtype=np.uint64)
-
-    flat: list[bytes] = []
-    counts = np.zeros(n, dtype=np.int64)
-    for i, toks in enumerate(token_lists):
-        flat.extend(toks)
-        counts[i] = len(toks)
-    if not flat:
-        return sig_host
-
-    hv_host = hash_tokens32(flat, memo, hashfunc=hashfunc)
-    row_of_token = np.repeat(np.arange(n, dtype=np.int64), counts)
-
-    sig = xp.asarray(sig_host)
-    ac = xp.asarray(np.ascontiguousarray(a))[:, None]
-    bc = xp.asarray(np.ascontiguousarray(b))[:, None]
-    p = xp.uint64(int(MERSENNE_PRIME))
-    for s in range(0, len(hv_host), chunk_tokens):
-        e = min(s + chunk_tokens, len(hv_host))
-        hv = xp.asarray(hv_host[s:e])
-        phv = ac * hv[None, :] + bc  # uint64 wrap, as in the reference
-        hi = phv >> xp.uint64(61)
-        phv = (phv & p) + hi
-        phv = xp.where(phv >= p, phv - p, phv) & xp.uint64(int(MAX_HASH))
-        rows = xp.asarray(row_of_token[s:e])
-        # scatter-min each token column into its row's signature slots
-        scatter_min(sig.T, (xp.arange(num_perm)[:, None], rows[None, :]), phv)
-    return np.asarray(sig) if xp is not np else sig
-
-
-def minhash_batch_gpu(token_lists, a, b, **kw) -> np.ndarray:
-    """Use the GPU when CuPy is importable, else the CPU kernel."""
-    return minhash_batch_xp(token_lists, a, b, **kw)

@@ -1,9 +1,9 @@
 """The flagship near-dup detection + clustering pipeline.
 
-read(images table) → SignatureStage (actor pool: MinHash over caption
+read(images table) → SignatureStage (map tasks: MinHash over caption
 shingles + SimHash from phash) → band explode (MinHash b×r bands ∪
-SimHash bit-bands) → bucket groupby shuffle → candidate pairs (+ exact
-content-hash stars + suffix-array substring pairs) → optional Jaccard
+SimHash bit-bands ∪ exact content hashes) → ONE bucket shuffle →
+candidate pairs (+ window-anchor substring pairs) → optional Jaccard
 verification → connected components → (image_id, cluster_id).
 
 Per-stage checkpointing: every materialized stage can persist to a
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 import pyarrow as pa
@@ -52,13 +52,6 @@ class DedupConfig:
     text_col: str = "caption"
     phash_col: str | None = "phash"
     signature_batch_size: int = 256  # cache-friendly: (tokens,128) permute temporary stays ~6 MB
-    signature_concurrency: int = 8
-    # "tasks": stateless map tasks rebuilding the (tiny, seed-derived)
-    # permutation state per task — fastest here because task scheduling
-    # is elastic while an actor pool pays spin-up + ramp. "actors": the
-    # classic pool, for when the stage holds genuinely heavy state
-    # (models, large vocabularies).
-    signature_mode: str = "tasks"
     # "sha1" = reference-bit-exact profile; "md5" = DuckDB-reproducible
     # profile (md5_number_lower) for oracled queries — the reference
     # treats hashfunc as pluggable (datasketch/hashfunc.py)
@@ -66,8 +59,7 @@ class DedupConfig:
     num_partitions: int | None = None  # None → auto-sized from the input row count
     checkpoint_dir: str | None = None
     # driver-DSU edge budget for connected components; 0 forces the
-    # distributed alternating-star path (bench/driver override:
-    # RAYDEDUP_MAX_DRIVER_EDGES)
+    # distributed alternating-star path
     max_driver_edges: int = 5_000_000
 
     @property
@@ -77,7 +69,6 @@ class DedupConfig:
     def fingerprint(self) -> str:
         d = asdict(self)
         d.pop("checkpoint_dir", None)
-        d.pop("signature_concurrency", None)
         d.pop("num_partitions", None)
         d.pop("max_driver_edges", None)  # execution strategy, not semantics
         return json.dumps(d, sort_keys=True)
@@ -183,19 +174,9 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
             phash_col=cfg.phash_col if cfg.use_simhash else None,
             hashfunc=cfg.hashfunc,
         )
-        if cfg.signature_mode == "actors":
-            return ds.map_batches(
-                SignatureStage,
-                fn_constructor_kwargs=stage_kwargs,
-                batch_format="pyarrow",
-                batch_size=cfg.signature_batch_size,
-                # autoscaling pool: never reserves every CPU up front, so
-                # the feeding read tasks can't be starved into a deadlock
-                concurrency=(1, cfg.signature_concurrency),
-                num_cpus=1,
-                max_restarts=0,
-            )
-
+        # stateless map tasks; the (tiny, seed-derived) permutation
+        # state is rebuilt once per worker process — task scheduling is
+        # elastic where an actor pool pays spin-up + ramp
         holder: dict = {}
 
         def fn(batch):
@@ -339,9 +320,8 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
     edges = ck.run("pairs", build_pairs)
 
     t0 = time.perf_counter()
-    max_drv = int(os.environ.get("RAYDEDUP_MAX_DRIVER_EDGES", cfg.max_driver_edges))
     clusters = connected_components(
-        edges, max_driver_edges=max_drv, num_partitions=npart_pairs
+        edges, max_driver_edges=cfg.max_driver_edges, num_partitions=npart_pairs
     )
     ck.metrics.append({"stage": "components", "wall_sec": round(time.perf_counter() - t0, 3)})
     ck.flush_metrics()

@@ -55,7 +55,6 @@ def q_minhash_dedup_docs(sf_dir: str):
         use_simhash=False,
         use_substring=False,
         use_exact=True,
-        signature_concurrency=4,
     )
     out = dedup_pipeline(ds, cfg)
     clusters = out["clusters"]
@@ -84,7 +83,6 @@ def q_lsh_candidate_pairs_docs(sf_dir: str):
         use_simhash=False,
         use_substring=False,
         use_exact=False,
-        signature_concurrency=4,
         hashfunc="md5",  # SQL-reproducible band buckets
         bucket_cap=1 << 30,  # pair-set semantics: full cliques, no star collapse
     )
@@ -2132,7 +2130,6 @@ def q_minhash_clusters_md5(sf_dir: str):
         use_simhash=False,
         use_substring=False,
         use_exact=True,
-        signature_concurrency=4,
         hashfunc="md5",
     )
     out = dedup_pipeline(ds, cfg)
@@ -2172,7 +2169,6 @@ def q_cluster_representatives(sf_dir: str):
         use_simhash=False,
         use_substring=False,
         use_exact=True,
-        signature_concurrency=4,
         hashfunc="md5",
     )
     clusters = dedup_pipeline(ds, cfg)["clusters"]
@@ -2296,7 +2292,7 @@ def q_image_dedup_synth(sf_dir: str):
 
     ensure_hash_shuffle()
     ds = rd.read_parquet(_synth_images_path(), columns=["image_id", "caption", "phash"])
-    out = dedup_pipeline(ds, DedupConfig(signature_concurrency=4, num_partitions=8))
+    out = dedup_pipeline(ds, DedupConfig(num_partitions=8))
     clusters = out["clusters"]
     if not isinstance(clusters, pa.Table):
         clusters = pa.concat_tables(list(clusters.iter_batches(batch_format="pyarrow")))

@@ -3,16 +3,17 @@
 The reference's ``MinHashLSH.insert`` appends keys into ``b`` mutable
 hash tables (``datasketch/lsh.py:326-347``) and ``query`` unions bucket
 members (``lsh.py:370-432``). Here the "index" is a table: each row
-explodes into ``b`` slim ``(bucket, id)`` rows, one hash-partition
-shuffle co-locates each LSH bucket, and vectorized run processing over
-sorted partitions replaces query-time lookups (stages/grouped.py — a
-Python call per *partition*, not per bucket).
+explodes into ``b`` MinHash band rows, plus SimHash bit-band rows and
+one exact content-hash row (``fused_band_explode``); ONE hash-partition
+shuffle co-locates every bucket of all three kinds, and vectorized run
+processing over sorted partitions replaces query-time lookups
+(stages/grouped.py — a Python call per *partition*, not per bucket).
 
 Scale design:
-- the exploded table carries ONLY ``(bucket: uint64, id)`` — the band's
-  r×8-byte key is mixed down to one 64-bit value with a vectorized
-  FNV-style fold (band_idx is mixed in so distinct bands never share a
-  bucket). A 64-bit collision adds a false candidate pair with
+- the exploded table carries ONLY ``(id, bucket: uint64, aux, mode)``
+  — the band's r×8-byte key is mixed down to one 64-bit value with a
+  vectorized FNV-style fold (band_idx is mixed in so distinct bands
+  never share a bucket). A 64-bit collision adds a false candidate pair with
   probability ~(n·b)²/2⁶⁴ — swallowed by the verification stage.
 - skew: buckets larger than ``bucket_cap`` emit a star (min-id to each
   member) instead of all O(m²) pairs — the connected-components result
@@ -51,63 +52,6 @@ def fold_band_buckets(sig: np.ndarray, b: int, r: int) -> np.ndarray:
     h ^= band_idx * _BAND_SALT
     h *= _FNV_PRIME
     return h
-
-
-def explode_minhash_bands(batch: pa.Table, b: int, r: int, id_col: str, num_perm: int = 128) -> pa.Table:
-    """map_batches fn: signature table → slim (id, bucket) band table."""
-    from raydedup.schema import sig_to_numpy
-
-    sig = sig_to_numpy(batch.column("minhash"), num_perm)
-    buckets = fold_band_buckets(sig, b, r)
-    ids = batch.column(id_col)
-    # repeat each id b times (Arrow take with repeated indices — no python loop)
-    idx = np.repeat(np.arange(len(batch), dtype=np.int64), b)
-    return pa.table({id_col: ids.take(pa.array(idx)), "bucket": pa.array(buckets, pa.uint64())})
-
-
-def explode_simhash_bands(batch: pa.Table, num_bands: int, id_col: str, simhash_col: str = "simhash") -> pa.Table:
-    """map_batches fn: 64-bit simhash → (id, bucket, sh) rows, one per
-    bit-band (pigeonhole: Hamming ≤ num_bands-1 ⇒ ≥1 shared band). The
-    full word rides along (8 B/row) for in-bucket Hamming verification."""
-    from raydedup.simhash import hamming_band_keys
-
-    words = batch.column(simhash_col).to_numpy(zero_copy_only=False)
-    band_idx, vals = hamming_band_keys(words, num_bands=num_bands)
-    # mix (band_idx, val) into a single bucket id; salt differently from
-    # minhash bands so the two candidate spaces never collide
-    h = (vals + np.uint64(0xABCDEF0123456789)) * _FNV_PRIME
-    h ^= (band_idx.astype(np.uint64) + np.uint64(17)) * _BAND_SALT
-    h *= _FNV_PRIME
-    ids = batch.column(id_col)
-    idx = np.repeat(np.arange(len(batch), dtype=np.int64), num_bands)
-    return pa.table(
-        {
-            id_col: ids.take(pa.array(idx)),
-            "bucket": pa.array(h, pa.uint64()),
-            "sh": pa.array(np.repeat(words, num_bands), pa.uint64()),
-        }
-    )
-
-
-def _emit_pairs_from_runs_loop(ids: np.ndarray, starts, ends, bucket_cap: int):
-    """Scalar reference for the vectorized emitter below (pinned by
-    tests/test_grouped.py) — one np.unique + triu per run."""
-    out_a, out_b = [], []
-    for s, e in zip(starts, ends):
-        run = np.unique(ids[s:e])
-        m = len(run)
-        if m < 2:
-            continue
-        if m <= bucket_cap:
-            iu = np.triu_indices(m, 1)
-            out_a.append(run[iu[0]])
-            out_b.append(run[iu[1]])
-        else:  # star from min id — component-equivalent (see module doc)
-            out_a.append(np.repeat(run[:1], m - 1))
-            out_b.append(run[1:])
-    if out_a:
-        return np.concatenate(out_a), np.concatenate(out_b)
-    return None, None
 
 
 def _unique_codes_per_run(id_arr, starts, ends):
@@ -168,95 +112,6 @@ def _flat_triu(base: np.ndarray, m: np.ndarray):
     ai = np.repeat(gidx, c)
     off = np.arange(totp, dtype=np.int64) - np.repeat(np.cumsum(c) - c, c)
     return ai, ai + 1 + off
-
-
-def _emit_pairs_from_runs(id_arr, starts, ends, bucket_cap: int):
-    """Vectorized-across-runs pair emission: per-run distinct ids via
-    ``_unique_codes_per_run``, then one flat triu for runs within
-    ``bucket_cap`` and a min-id star above it. The scalar reference
-    (``_emit_pairs_from_runs_loop``) paid one Python np.unique — an
-    OBJECT-dtype sort for string ids — per bucket; a 5M-row corpus has
-    ~10⁶ multi-buckets per partition wave, so the per-run interpreter
-    cost was the bands stage's real wall. Returns (a, b) Arrow arrays
-    or (None, None)."""
-    res = _unique_codes_per_run(id_arr, starts, ends)
-    if res is None:
-        return None, None
-    vdict, ku, m, upre, _ = res
-    outs_a, outs_b = [], []
-    small = (m >= 2) & (m <= bucket_cap)
-    if small.any():
-        ai, bj = _flat_triu(upre[small], m[small])
-        outs_a.append(ku[ai])
-        outs_b.append(ku[bj])
-    big = m > bucket_cap
-    if big.any():
-        mb = m[big] - 1
-        base = np.repeat(upre[big], mb)
-        off = np.arange(int(mb.sum()), dtype=np.int64) - np.repeat(np.cumsum(mb) - mb, mb)
-        outs_a.append(ku[base])  # run's first unique == min id (value-ranked)
-        outs_b.append(ku[base + 1 + off])
-    if not outs_a:
-        return None, None
-    a = np.concatenate(outs_a)
-    b = np.concatenate(outs_b)
-    return vdict.take(pa.array(a)), vdict.take(pa.array(b))
-
-
-def candidate_pairs(band_ds, id_col: str, bucket_cap: int = 512, num_partitions: int = 32):
-    """bucket hash-partition → vectorized run pair emission → global
-    pair dedupe (the reference's query-side set-union, ``lsh.py:423-432``)."""
-
-    def emit(block: pa.Table, starts, ends) -> pa.Table:
-        typ = block.column(id_col).type
-        a, b = _emit_pairs_from_runs(block.column(id_col), starts, ends, bucket_cap)
-        if a is None:
-            return pa.table({"id_a": pa.array([], typ), "id_b": pa.array([], typ)})
-        return pa.table({"id_a": a, "id_b": b})
-
-    pairs = map_key_runs(band_ds, "bucket", emit, num_partitions)
-    return unique_rows_partitioned(pairs, ["id_a", "id_b"], num_partitions)
-
-
-def simhash_candidate_pairs(
-    band_ds, id_col: str, max_hamming: int, bucket_cap: int = 4096, num_partitions: int = 32
-):
-    """bucket hash-partition → Hamming-verified pairs → global dedupe."""
-    from raydedup.simhash import hamming_distance64
-
-    def emit(block: pa.Table, starts, ends) -> pa.Table:
-        # vectorized across runs (same machinery as candidate_pairs):
-        # per-run distinct ids carry their simhash word via the kept-row
-        # index, one flat triu over the capped runs, ONE elementwise
-        # Hamming verify over all candidate endpoints. Oversized buckets
-        # are degenerate (constant phash floods); the exact pre-collapse
-        # pass covers them, so they are dropped, not starred.
-        typ = block.column(id_col).type
-        empty = pa.table({"id_a": pa.array([], typ), "id_b": pa.array([], typ)})
-        res = _unique_codes_per_run(block.column(id_col), starts, ends)
-        if res is None:
-            return empty
-        vdict, ku, m, upre, krow = res
-        ok = (m >= 2) & (m <= bucket_cap)
-        if not ok.any():
-            return empty
-        ai, bj = _flat_triu(upre[ok], m[ok])
-        if not len(ai):
-            return empty
-        sh = block.column("sh").to_numpy(zero_copy_only=False)
-        d = hamming_distance64(sh[krow[ai]], sh[krow[bj]])
-        keep = d <= max_hamming
-        if not keep.any():
-            return empty
-        return pa.table(
-            {
-                "id_a": vdict.take(pa.array(ku[ai[keep]])),
-                "id_b": vdict.take(pa.array(ku[bj[keep]])),
-            }
-        )
-
-    pairs = map_key_runs(band_ds, "bucket", emit, num_partitions)
-    return unique_rows_partitioned(pairs, ["id_a", "id_b"], num_partitions)
 
 
 def bucket_stats(band_ds):

@@ -226,11 +226,13 @@ def components_distributed(
     constant and the loop stops when a pass changes zero parents
     (depth halves each pass ⇒ O(log depth) passes). Records peeled in
     pass 0 (globally never parents) skip their self rows, halving jump
-    bytes on star-shaped dedup graphs. If at jump-phase ENTRY the whole
-    record set fits under ``driver_finish_rows`` (slim 2-column rows;
-    the default bounds driver memory to ~100 MB) it is flattened on the
-    driver in one dictionary chase instead — pass 0 to force the fully
-    distributed endgame.
+    bytes on star-shaped dedup graphs. Whenever the residual forest
+    fits under ``driver_finish_rows`` (slim 2-column rows; the default
+    bounds driver memory to ~100 MB) it is solved on the driver by
+    ``components_driver`` instead — every root is its tree's minimum id
+    (parents are smaller than children), so the labels are the same —
+    and the root-distinct shuffle below is skipped. Pass 0 to force the
+    fully distributed endgame.
 
     Returns a Dataset (image_id, cluster_id); like the driver path,
     only nodes that appear in at least one edge are labeled. All
@@ -532,8 +534,9 @@ def components_distributed(
         raise RuntimeError("components_distributed: star phase did not reach a forest")
 
     # --- phase 2: pointer-jump peeling on the forest ---
-    finals = []  # (c, p) datasets of settled star edges
-    driver_part = None
+    import ray.data as rd
+
+    finals = None  # (c, p) dataset of settled star edges
 
     def _jump_expand(t: pa.Table) -> pa.Table:
         # Every record emits an edge row (queries its parent's group);
@@ -620,8 +623,8 @@ def components_distributed(
 
         return per_block
 
-    if converged and not peeled_parts:
-        finals.append(eds)  # already stars; children globally unique
+    if converged and not peeled_parts and rows > driver_finish_rows:
+        finals = eds  # already stars; children globally unique
     else:
         # peeled children are globally unique and absent from the star
         # edges (degree-1 by construction), so the union is still a
@@ -649,14 +652,13 @@ def components_distributed(
             active = staged(active)
             act_rows = rows + peeled_rows
         for j in range(max_rounds):
-            if act_rows == 0:
-                break
             if act_rows <= driver_finish_rows:
                 # the full record set is in `active` (no mid-phase
-                # retirement), so the driver dictionary is complete:
-                # any parent missing from it is a true root
+                # retirement), so it is the whole residual forest
                 t0 = _time.time()
-                driver_part = _driver_flatten(active, id_type)
+                labels = components_driver(
+                    active.select_columns(["c", "p"]).rename_columns({"c": "id_a", "p": "id_b"})
+                )
                 if stats is not None:
                     stats.append(
                         {
@@ -665,7 +667,7 @@ def components_distributed(
                             "sec": round(_time.time() - t0, 3),
                         }
                     )
-                break
+                return rd.from_arrow(labels)
             t0 = _time.time()
             pass_key = f"j{j}"
             active = staged(
@@ -685,23 +687,14 @@ def components_distributed(
                 )
             if chg == 0:  # every parent is a root
                 # select_columns (a projection, not a skippable UDF)
-                # restores the (c, p) schema for the finalize union
-                finals.append(active.select_columns(["c", "p"]))
+                # restores the (c, p) schema for the finalize
+                finals = active.select_columns(["c", "p"])
                 break
         else:
             raise RuntimeError("components_distributed: jump phase did not converge")
 
     # --- finalize: children rows pass through (globally unique); root
     # self-rows need one slim single-column distinct shuffle ---
-    import ray.data as rd
-
-    parts = list(finals)
-    if driver_part is not None and len(driver_part):
-        parts.append(rd.from_arrow(driver_part))
-    all_children = parts[0]
-    for d in parts[1:]:
-        all_children = all_children.union(d)
-
     def _to_roots(t: pa.Table) -> pa.Table:
         # per-block pre-distinct (combiner): the root shuffle moves
         # ~n_components rows per block instead of n_edges rows
@@ -716,56 +709,24 @@ def components_distributed(
         return pa.table({"image_id": t.column("c"), "cluster_id": t.column("p")})
 
     roots = unique_rows_partitioned(
-        all_children.map_batches(_to_roots, batch_format="pyarrow"),
+        finals.map_batches(_to_roots, batch_format="pyarrow"),
         ["image_id"],
         _P(n_edges),
     ).map_batches(_root_rows, batch_format="pyarrow")
-    return all_children.map_batches(_child_rows, batch_format="pyarrow").union(roots)
-
-
-def _driver_flatten(active_ds, id_type) -> pa.Table:
-    """Bounded endgame: collect the (small) residual forest and resolve
-    every child to its root with one memoized dictionary chase. Roots
-    referenced here always appear as parents of the emitted rows, so no
-    separate root list is needed."""
-    parent: dict = {}
-    for b in active_ds.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
-        for cc, pp in zip(b.column("c").to_pylist(), b.column("p").to_pylist()):
-            parent[cc] = pp
-    lab: dict = {}
-    for start in parent:
-        x, path = start, []
-        while True:
-            if x in lab:
-                r = lab[x]
-                break
-            nxt = parent.get(x)
-            if nxt is None:
-                r = x
-                break
-            path.append(x)
-            x = nxt
-        for y in path:
-            lab[y] = r
-    return pa.table(
-        {
-            "c": pa.array(list(lab.keys()), id_type),
-            "p": pa.array(list(lab.values()), id_type),
-        }
-    )
+    return finals.map_batches(_child_rows, batch_format="pyarrow").union(roots)
 
 
 def connected_components(pairs_ds, max_driver_edges: int = 5_000_000, num_partitions: int = 32):
     """Auto-select: driver DSU below ``max_driver_edges``, else
-    distributed label propagation. Returns an Arrow table or Dataset of
-    (image_id, cluster_id).
+    distributed alternating-star with a driver finish. Returns an Arrow
+    table or Dataset of (image_id, cluster_id).
 
     The input may be a raw edge MULTISET (band/mode duplicates — the
     pipeline skips the dedupe shuffle for exactly this consumer); if the
     raw count is over the driver budget, one dedupe shuffle usually
     collapses it back under (band multiplicity is ~b×), so the fast
     driver path is re-tested on the distinct edge set before falling
-    back to distributed label propagation."""
+    back to the distributed path."""
     from raydedup.stages.grouped import auto_partitions, staged, unique_rows_partitioned
 
     n = pairs_ds.count()

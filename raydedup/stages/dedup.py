@@ -2,8 +2,8 @@
 
 - exact dedup: content-hash groupby, keep min-id row (also the
   pre-collapse pass that defuses LSH bucket skew — SURVEY.md §4.2)
-- substring dedup: anchor-window groupby + per-group suffix-array /
-  direct containment (raydedup.suffix)
+- substring dedup: window-anchor groupby + rolling-hash containment
+  verify (raydedup.suffix kernels)
 - the MinHash/SimHash near-dup paths live in stages/bands.py and are
   composed by pipeline.py; this module adds the n-gram-Jaccard
   brute-verify and embedding-cosine near-dup operators used by the
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -158,34 +157,8 @@ def exact_dedup(ds, key_cols: list[str], id_col: str, keep_payload: bool = True,
     return parted.map_batches(keep_min_per_run, batch_size=None, batch_format="pyarrow")
 
 
-def exact_dup_pairs(ds, key_cols: list[str], id_col: str, num_partitions: int | None = None):
-    """(id_a < id_b) pairs of rows with identical content — each group
-    emits a star from its min id (component-equivalent)."""
-    from raydedup.stages.grouped import auto_partitions, map_key_runs
-
-    if num_partitions is None:
-        num_partitions = auto_partitions(ds)
-    hashed = ds.map_batches(
-        lambda t: add_content_hash(t, key_cols), batch_format="pyarrow"
-    ).select_columns(["content_hash", id_col])
-
-    def star_runs(block: pa.Table, starts, ends) -> pa.Table:
-        # vectorized across runs (bands._unique_codes_per_run): min-id
-        # star per content group with bucket_cap=1 forcing the star
-        # branch for every multi-unique run
-        from raydedup.stages.bands import _emit_pairs_from_runs
-
-        typ = block.column(id_col).type
-        a, b = _emit_pairs_from_runs(block.column(id_col), starts, ends, 1)
-        if a is None:
-            return pa.table({"id_a": pa.array([], typ), "id_b": pa.array([], typ)})
-        return pa.table({"id_a": a, "id_b": b})
-
-    return map_key_runs(hashed, "content_hash", star_runs, num_partitions)
-
-
 # ------------------------------------------------------------ substring dedup
-def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partitions: int | None = None, prefilter: bool | None = None, timings: dict | None = None):
+def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partitions: int | None = None, prefilter: bool | None = None):
     """(contained_id → id_a, container_id → id_b) pairs where one
     caption is a strict token-slice of another.
 
@@ -579,12 +552,8 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
         # otherwise cost ~1.9 s on a few thousand anchor rows)
         exploded = staged(exploded)
     if prefilter:
-        _t0 = time.perf_counter()
         exploded = staged(exploded)
         n_exploded = exploded.count()  # staged → metadata-cheap
-        if timings is not None:
-            timings["explode"] = round(time.perf_counter() - _t0, 2)
-        _t0 = time.perf_counter()
         fbloom = _uint64_bloom(
             exploded.map_batches(
                 lambda t: t.filter(pc.equal(t.column("role"), 0)).select(["anchor"]),
@@ -606,9 +575,6 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
             return t.filter(pa.array(keep))
 
         exploded = exploded.map_batches(prune, batch_format="pyarrow")
-        if timings is not None:
-            timings["anchor_bloom"] = round(time.perf_counter() - _t0, 2)
-    _t0 = time.perf_counter()
     # anchor rows are slim (~25-40 B: anchor u64 + id + 3 small ints),
     # so the coalesce gate can sit far above the 0.5 KB-row default —
     # 1M rows is a ~30 MB single block, cheaper than aggregator actors
@@ -617,8 +583,6 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
             exploded, "anchor", emit_candidates, num_partitions, small_rows=1 << 20
         )
     )
-    if timings is not None:
-        timings["anchor_shuffle"] = round(time.perf_counter() - _t0, 2)
 
     # ---- verify: key candidates by container id, union the docs table.
     # Same semi-join prune on this side: only docs named as a container
@@ -627,7 +591,6 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
     # a Bloom of candidate container-id hashes drops them at the map.
     dbloom_ref = None
     if prefilter:
-        _t0 = time.perf_counter()
         n_cand = candidates.count()  # staged → metadata-cheap
         dbloom = _uint64_bloom(
             candidates.map_batches(
@@ -638,8 +601,6 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
             n_items=max(1024, n_cand),
         )
         dbloom_ref = ray.put(dbloom)
-        if timings is not None:
-            timings["verify_bloom"] = round(time.perf_counter() - _t0, 2)
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         if dbloom_ref is not None:
@@ -741,7 +702,6 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
         out = pa.table({"id_a": qa, "id_b": cb})
         return out.group_by(["id_a", "id_b"]).aggregate([]).cast(empty_pairs.schema)
 
-    _t0 = time.perf_counter()
     # exact upper bound for the union the planner can't size: tag_docs
     # emits ≤ n_docs rows (the Bloom prune only removes), pad_candidates
     # exactly the staged candidate count — lets tiny corpora coalesce
@@ -750,12 +710,6 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
     pairs = map_key_runs(
         verify_input, "key", verify, num_partitions, approx_rows=approx_verify
     )
-    if timings is not None:
-        # timing mode pays an extra materialize barrier to attribute the
-        # verify shuffle's wall; production callers (timings=None) keep
-        # the lazy plan.
-        pairs = staged(pairs)
-        timings["verify_shuffle"] = round(time.perf_counter() - _t0, 2)
 
     # pairs are globally unique by construction: each (query-class,
     # container) is generated in exactly one anchor run (short docs'
@@ -1722,13 +1676,3 @@ def remove_ids(ds, ids_to_remove, id_col: str):
         )
 
     return ds.map_batches(drop, batch_format="pyarrow")
-
-
-def merge_band_tables(*band_tables):
-    """Index merge (reference ``MinHashLSH.merge``, ``lsh.py:233-251``):
-    union of band tables built with identical (seed, num_perm, b, r) —
-    trivially parallel, no rehashing."""
-    out = band_tables[0]
-    for t in band_tables[1:]:
-        out = out.union(t)
-    return out

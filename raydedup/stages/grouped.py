@@ -36,16 +36,33 @@ def ensure_hash_shuffle():
     ctx = DataContext.get_current()
     if ctx.shuffle_strategy != ShuffleStrategy.HASH_SHUFFLE:
         ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    except Exception:  # pragma: no cover
-        cpus = 0
+    cpus = _session_cpus()
+    _fit_aggregators(ctx, cpus)
     if not cpus:
         cpus = os.cpu_count() or 8
     ctx.default_hash_shuffle_parallelism = max(2, cpus)
     return ctx
+
+
+def _session_cpus() -> int:
+    """CPU budget of the live Ray session; 0 when none is running."""
+    try:
+        import ray
+
+        return int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
+    except Exception:  # pragma: no cover
+        return 0
+
+
+def _fit_aggregators(ctx, cpus: int) -> None:
+    """Below 2 CPUs, Ray 2.49 reserves ``min(1, (CPU/2)/P)`` CPU per
+    hash-shuffle (and keyed groupby-aggregate) aggregator actor while
+    each map task asks for a full CPU, so the map tasks never schedule
+    and the first shuffle hangs. Zero-CPU aggregators leave the one CPU
+    to the map tasks. Sessions with 2+ CPUs keep Ray's default."""
+    if 0 < cpus < 2:
+        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0
+        ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0
 
 
 def effective_partitions(requested: int) -> int:
@@ -163,13 +180,14 @@ def tune_for_session(ds):
     hash strategy + parallelism clamped to the *actual* CPU budget.
     Datasets snapshot the context at creation, so datasets built before
     ``ensure_hash_shuffle`` ran (or before ray.init fixed the CPU count)
-    would otherwise carry an unclamped default that deadlocks small
-    sessions."""
+    would otherwise carry an unclamped default (or, on a 1-CPU session,
+    full-CPU aggregators) that deadlocks small sessions."""
     try:
         from ray.data.context import ShuffleStrategy
 
         ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
         ds.context.default_hash_shuffle_parallelism = effective_partitions(1 << 30)
+        _fit_aggregators(ds.context, _session_cpus())
     except Exception:  # pragma: no cover
         pass
     return ds

@@ -424,8 +424,9 @@ def _fp_powers(window: int) -> np.ndarray:
     pw = _FP_POWERS.get(window)
     if pw is None:
         pw = np.ones(window, dtype=np.uint64)
-        for j in range(window - 2, -1, -1):
-            pw[j] = pw[j + 1] * _FP_BASE
+        with np.errstate(over="ignore"):  # intentional uint64 wraparound
+            for j in range(window - 2, -1, -1):
+                pw[j] = pw[j + 1] * _FP_BASE
         _FP_POWERS[window] = pw
     return pw
 

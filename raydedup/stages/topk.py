@@ -82,6 +82,17 @@ def topk_similar(sig_ds, query_sigs: np.ndarray, query_ids, k: int = 10, id_col:
 
 
 # ------------------------------------------------- forest prefix index
+def _forest_prefix_buckets(tree: np.ndarray, t: int, r: int) -> np.ndarray:
+    """Bucket ids of the depth-``r`` prefixes of tree ``t`` (rows of
+    ``tree`` are the tree's ``k`` signature slots), salted by (t, r)."""
+    from raydedup.stages.bands import fold_band_buckets
+
+    h = fold_band_buckets(tree[:, :r], 1, r)
+    with np.errstate(over="ignore"):  # intentional uint64 wraparound
+        h ^= (np.uint64(t * 1315423911) ^ np.uint64(r * 2654435761)) * np.uint64(0x100000001B3)
+    return h
+
+
 def forest_prefix_table(sig_ds, id_col: str = "image_id", l: int = 8, k: int = 16, num_perm: int = 128, num_partitions: int | None = None):
     """The MinHashLSHForest index re-expressed as a TABLE (reference
     ``lshforest.py:30-72``): ``l`` prefix trees over ``k`` consecutive
@@ -91,7 +102,6 @@ def forest_prefix_table(sig_ds, id_col: str = "image_id", l: int = 8, k: int = 1
     :func:`forest_topk` — the indexed path for repeated top-k queries
     that the exact-scan :func:`topk_similar` does not provide."""
     from raydedup.schema import sig_to_numpy
-    from raydedup.stages.bands import fold_band_buckets
     from raydedup.stages.grouped import auto_partitions, staged
 
     if l * k > num_perm:
@@ -105,10 +115,7 @@ def forest_prefix_table(sig_ds, id_col: str = "image_id", l: int = 8, k: int = 1
         for t in range(l):
             tree = sig[:, t * k : (t + 1) * k]
             for r in range(1, k + 1):
-                h = fold_band_buckets(tree[:, :r], 1, r)
-                h ^= (np.uint64(t * 1315423911) ^ np.uint64(r * 2654435761)) * np.uint64(
-                    0x100000001B3
-                )
+                h = _forest_prefix_buckets(tree, t, r)
                 out_id.append(ids)
                 out_bucket.append(h)
         def _cat(chunks):
@@ -139,7 +146,6 @@ def forest_topk(prefix_ds, query_sigs: np.ndarray, query_ids, topk: int = 10, id
     (query_id, {id_col}) of ≤ topk rows per query."""
     import ray
 
-    from raydedup.stages.bands import fold_band_buckets
     from raydedup.stages.grouped import auto_partitions, map_key_runs, staged
 
     if num_partitions is None:
@@ -154,10 +160,7 @@ def forest_topk(prefix_ds, query_sigs: np.ndarray, query_ids, topk: int = 10, id
         for t in range(l):
             tree = q[qi : qi + 1, t * k : (t + 1) * k]
             for r in range(1, k + 1):
-                h = fold_band_buckets(tree[:, :r], 1, r)
-                h ^= (np.uint64(t * 1315423911) ^ np.uint64(r * 2654435761)) * np.uint64(
-                    0x100000001B3
-                )
+                h = _forest_prefix_buckets(tree, t, r)
                 rows_q.append(qids[qi])
                 rows_b.append(int(h[0]))
                 rows_r.append(r)

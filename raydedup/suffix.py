@@ -1,19 +1,17 @@
-"""Suffix-array exact-substring duplicate detection.
+"""Token-hash kernels for the exact-substring pass and n-gram shingles.
 
-Absent from the reference (SURVEY.md §2.5); the north rule adds it for
-captions that are verbatim slices of other captions.
+Absent from the reference (SURVEY.md §2.5); the north rule adds a pass
+for captions that are verbatim token slices of other captions.
 
-Kernel: O(n log² n) prefix-doubling suffix array (numpy ``lexsort``)
-over the concatenated caption corpus with doc separators, plus binary
-pattern search — standard Manber–Myers construction.
-
-Distributed shape (stages/dedup.py wires it up): a query caption that is
-contained in a container caption must share its leading ``window``-token
-anchor with one of the container's token windows, so grouping by anchor
-hash co-locates every (contained, container) candidate; within a group
-the suffix array (large groups) or direct find (small groups) verifies
-containment. Captions shorter than ``window`` tokens are collected and
-broadcast (tiny by construction) — no candidate is lost.
+Distributed shape (``stages/dedup.substring_pairs`` wires it up): a
+query caption contained in a container caption shares its anchor (the
+minimum hash over its ``window``-token windows) with one of the
+container's token windows, so grouping by anchor hash co-locates every
+(contained, container) candidate; a verify shuffle keyed by container
+id then checks each candidate in O(1) with the polynomial rolling hash
+below (prefix sums over per-token hashes). Captions shorter than
+``window`` tokens are anchored on their whole token list — no
+candidate is lost.
 """
 
 from __future__ import annotations
@@ -22,139 +20,6 @@ import hashlib
 import struct
 
 import numpy as np
-
-
-def suffix_array(s: np.ndarray) -> np.ndarray:
-    """Suffix array of an int array (values ≥ 0) by prefix doubling."""
-    s = np.asarray(s, dtype=np.int64)
-    n = len(s)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    rank = s.copy()
-    sa = np.argsort(rank, kind="stable")
-    k = 1
-    tmp = np.empty(n, dtype=np.int64)
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        sa = np.lexsort((key2, rank))
-        tmp[sa[0]] = 0
-        prev = sa[:-1]
-        cur = sa[1:]
-        newgrp = (rank[cur] != rank[prev]) | (key2[cur] != key2[prev])
-        tmp[cur] = np.cumsum(newgrp)
-        rank, tmp = tmp, rank
-        if rank[sa[-1]] == n - 1:
-            return sa
-        k *= 2
-
-
-class GeneralizedSuffixArray:
-    """Suffix array over concatenated docs (separator 0) with doc lookup."""
-
-    def __init__(self, docs: list[np.ndarray]):
-        parts = []
-        starts = []
-        pos = 0
-        for d in docs:
-            starts.append(pos)
-            parts.append(d)
-            parts.append(np.array([0], dtype=np.int64))  # separator < all symbols
-            pos += len(d) + 1
-        self.text = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        self.starts = np.array(starts, dtype=np.int64)
-        self.ends = self.starts + np.array([len(d) for d in docs], dtype=np.int64)
-        self.sa = suffix_array(self.text)
-
-    def _cmp_at(self, suf: int, pat: np.ndarray) -> int:
-        """-1/0/+1: compare pattern against suffix prefix."""
-        m = len(pat)
-        seg = self.text[suf : suf + m]
-        if len(seg) < m:
-            pad = np.full(m, -1, dtype=np.int64)
-            pad[: len(seg)] = seg
-            seg = pad
-        neq = np.nonzero(seg != pat)[0]
-        if len(neq) == 0:
-            return 0
-        i = neq[0]
-        return -1 if seg[i] < pat[i] else 1
-
-    def find_docs(self, pat: np.ndarray) -> set[int]:
-        """Doc indices whose body contains ``pat`` (never across the
-        separator — pat has no zeros)."""
-        n = len(self.sa)
-        lo, hi = 0, n
-        while lo < hi:  # first suffix with prefix >= pat
-            mid = (lo + hi) // 2
-            if self._cmp_at(self.sa[mid], pat) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        out = set()
-        m = len(pat)
-        i = lo
-        while i < n:
-            suf = self.sa[i]
-            if self._cmp_at(suf, pat) != 0:
-                break
-            di = int(np.searchsorted(self.starts, suf, side="right") - 1)
-            if suf + m <= self.ends[di]:
-                out.add(di)
-            i += 1
-        return out
-
-
-def tokens_to_symbols(tokens: list[str], sym: dict[str, int]) -> np.ndarray:
-    """Map tokens to positive int symbols via a shared growing dict."""
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, t in enumerate(tokens):
-        v = sym.get(t)
-        if v is None:
-            v = len(sym) + 1  # 0 reserved for the separator
-            sym[t] = v
-        out[i] = v
-    return out
-
-
-def anchor_hash(tokens: list[str]) -> int:
-    """64-bit hash of a token window (the group-by key)."""
-    return struct.unpack("<Q", hashlib.sha1(" ".join(tokens).encode("utf-8")).digest()[:8])[0]
-
-
-def containment_pairs_in_group(
-    queries: list[tuple[str, str]],
-    containers: list[tuple[str, str]],
-    sa_threshold: int = 64,
-) -> list[tuple[str, str]]:
-    """Exact containment check within one anchor group.
-
-    queries/containers: (id, caption) lists. Returns (contained_id,
-    container_id) pairs with *strict* containment (query shorter).
-    Uses the generalized suffix array when the group is large, direct
-    token-boundary string find otherwise.
-    """
-    out = []
-    if not queries or not containers:
-        return out
-    if len(queries) * len(containers) > sa_threshold:
-        sym: dict[str, int] = {}
-        docs = [tokens_to_symbols(c.split(), sym) for _, c in containers]
-        gsa = GeneralizedSuffixArray(docs)
-        for qid, qcap in queries:
-            pat = tokens_to_symbols(qcap.split(), sym)
-            for di in gsa.find_docs(pat):
-                cid, ccap = containers[di]
-                if cid != qid and len(qcap) < len(ccap):
-                    out.append((qid, cid))
-    else:
-        for qid, qcap in queries:
-            needle = f" {qcap} "
-            for cid, ccap in containers:
-                if cid != qid and len(qcap) < len(ccap) and needle in f" {ccap} ":
-                    out.append((qid, cid))
-    return out
-
 
 _W_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _W_FNV_PRIME = np.uint64(0x100000001B3)
@@ -236,14 +101,6 @@ def poly_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
     binv = np.full(n + 1, _POLY_B_INV, dtype=np.uint64)
     binv[0] = 1
     return np.cumprod(b), np.cumprod(binv)
-
-
-def poly_hash_all(hv: np.ndarray, bpow: np.ndarray) -> np.uint64:
-    """H(0, n) = Σ hv[k]·B^(n-1-k) mod 2^64 — the whole-sequence hash."""
-    n = len(hv)
-    if n == 0:
-        return np.uint64(0)
-    return np.uint64((hv * bpow[n - 1 :: -1][:n]).sum(dtype=np.uint64))
 
 
 def poly_prefix_sums(hv: np.ndarray, binv_pow: np.ndarray) -> np.ndarray:

@@ -73,6 +73,23 @@ def test_merge_equals_bulk_insert_and_wire_round_trip():
         fa.merge(BandBloomFilter(b, r, 4000, fp=1e-4))
 
 
+def test_deserialize_rejects_tampered_header():
+    """An outside buffer whose header disagrees with the filter its
+    parameters rebuild (or that is cut short) raises ValueError — an
+    explicit raise, so ``python -O`` keeps the check."""
+    import struct
+
+    from raydedup.bloom import BandBloomFilter
+
+    buf = bytearray(BandBloomFilter(9, 13, 2000, fp=1e-4).serialize())
+    m_bits = struct.unpack_from("<Q", buf, 16)[0]
+    struct.pack_into("<Q", buf, 16, m_bits + 8)
+    with pytest.raises(ValueError):
+        BandBloomFilter.deserialize(bytes(buf))
+    with pytest.raises(ValueError):
+        BandBloomFilter.deserialize(bytes(buf[:10]))
+
+
 def test_distributed_build_matches_local(ray_session):
     import ray
     import ray.data as rd

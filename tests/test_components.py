@@ -127,24 +127,36 @@ def test_driver_components_chain_scales_logarithmically(ray_session):
 
 def test_bucket_cap_star_is_component_equivalent(ray_session):
     """Buckets above bucket_cap emit a star instead of O(m²) pairs —
-    same connected components, far fewer edges."""
+    same connected components, far fewer edges. 60 identical
+    signatures share every MinHash band; one more identical pair
+    shares a different set of buckets."""
     import ray.data as rd
 
-    from raydedup.stages.bands import candidate_pairs
+    from raydedup.params import optimal_param
+    from raydedup.schema import numpy_to_sig
+    from raydedup.stages.bands import fused_candidate_pairs
     from raydedup.stages.components import components_driver
 
     m = 60
-    band = pa.table(
+    rng = np.random.default_rng(0)
+    sig_x, sig_y = rng.integers(0, 1 << 32, (2, 128), dtype=np.uint64)
+    table = pa.table(
         {
             "image_id": pa.array([f"x{i:03d}" for i in range(m)] + ["y0", "y1"]),
-            "bucket": pa.array([7] * m + [9, 9], pa.uint64()),
+            "minhash": numpy_to_sig(np.stack([sig_x] * m + [sig_y] * 2)),
         }
     )
-    full = candidate_pairs(rd.from_arrow(band), "image_id", bucket_cap=512, num_partitions=2)
-    star = candidate_pairs(rd.from_arrow(band), "image_id", bucket_cap=8, num_partitions=2)
+    b, r = optimal_param(0.8, 128)
+
+    def pairs(cap):
+        return fused_candidate_pairs(
+            rd.from_arrow(table), "image_id", b, r, bucket_cap=cap, num_partitions=2, dedupe=True
+        )
+
+    full, star = pairs(512), pairs(8)
     n_full, n_star = full.count(), star.count()
     assert n_full == m * (m - 1) // 2 + 1
-    assert n_star == (m - 1) + 1  # star + the small bucket pair
+    assert n_star == (m - 1) + 1  # star + the identical pair
     lab_full = components_driver(full).to_pandas()
     lab_star = components_driver(star).to_pandas()
     assert lab_full.equals(lab_star)

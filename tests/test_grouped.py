@@ -478,3 +478,57 @@ def test_overlapping_sessions_bruteforce(ray_session):
     got = q_overlapping_sessions(sf).to_pandas()
     assert set(map(tuple, got.itertuples(index=False))) == want
     assert len(got) == len(want) > 0
+
+
+def test_one_cpu_session_hash_shuffle_completes(tmp_path):
+    """A 1-CPU Ray session must not deadlock at its first distributed
+    hash shuffle or keyed groupby-aggregate: the aggregator actors' CPU
+    reservation would leave no room for the shuffle's map tasks. Runs
+    in a fresh process (its own 1-CPU session) and must finish within
+    120 s."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "one_cpu.py"
+    script.write_text(
+        """
+import sys
+sys.path.insert(0, %r)
+import numpy as np
+import pyarrow as pa
+import ray
+import ray.data as rd
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+import raydedup.stages.grouped as G
+
+G.SMALL_SHUFFLE_ROWS = 0  # force the distributed hash-shuffle path
+G.ensure_hash_shuffle()
+ds = rd.from_arrow(pa.table({"k": np.arange(2000) %% 500, "v": np.arange(2000)}))
+print(G.map_key_runs(ds, "k", lambda b, s, e: b, num_partitions=2).count())
+print(ds.groupby("k").count().count())  # keyed groupby-aggregate shuffle
+ray.shutdown()
+"""
+        % root
+    )
+    proc = subprocess.Popen(
+        [sys.executable, str(script)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=root,  # Ray workers import the package from the driver's cwd
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("1-CPU hash shuffle did not finish within 120 s")
+    assert proc.returncode == 0, err[-2000:]
+    assert out.split()[-2:] == ["2000", "500"]
+

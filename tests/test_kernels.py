@@ -265,33 +265,6 @@ def test_flat_ngram_hashes_match_python_shingles():
         assert len(r0 & r1) == shared
 
 
-def test_minhash_batch_xp_bit_exact():
-    """The array-module-dispatched (GPU parity) kernel is bit-exact with
-    the production reduceat kernel, exercised with numpy as the module
-    and np.minimum.at as the scatter-min shim (no GPU in this env; with
-    CuPy importable the same code offloads). Covers empty docs and
-    chunk boundaries."""
-    import numpy as np
-
-    from raydedup.hashing import generate_permutations
-    from raydedup.minhash import minhash_batch, minhash_batch_xp
-
-    a, b = generate_permutations(128, 1)
-    rng = np.random.default_rng(0)
-    docs = [
-        [
-            bytes(rng.integers(97, 123, rng.integers(3, 9), dtype=np.uint8))
-            for _ in range(int(rng.integers(0, 40)))
-        ]
-        for _ in range(50)
-    ]
-    ref = minhash_batch(docs, a, b)
-    got = minhash_batch_xp(docs, a, b, xp=np, scatter_min=np.minimum.at, chunk_tokens=100)
-    assert np.array_equal(ref, got)
-    # without an explicit xp and no cupy installed, it falls back to CPU
-    assert np.array_equal(ref, minhash_batch_xp(docs, a, b))
-
-
 def test_allpairs_kernel_property_random_thresholds():
     """Property test for the fused AllPairs kernel (prefix + length +
     PPJoin positional filters + searchsorted scoring) against exact
@@ -384,44 +357,6 @@ def test_signature_stage_flat_equals_rows_path(reference_datasketch):
         for t in sorted(word_ngram_shingles(d or "", 3)):
             m.update(t)
         assert np.array_equal(sigs[i], m.hashvalues), f"doc {i}"
-
-
-def test_emit_pairs_from_runs_matches_scalar_reference():
-    """The vectorized-across-runs bucket pair emitter (triu + star) must
-    emit exactly the scalar per-run np.unique/triu reference's pair set
-    for string AND int ids, at caps that exercise both branches."""
-    import numpy as np
-    import pyarrow as pa
-
-    from raydedup.stages.bands import (
-        _emit_pairs_from_runs,
-        _emit_pairs_from_runs_loop,
-    )
-
-    rng = np.random.default_rng(42)
-    sizes = rng.integers(2, 7, 500)
-    sizes[rng.integers(0, 500, 5)] = 40  # over-cap runs (star branch)
-    tot = int(sizes.sum())
-    raw = rng.integers(0, tot // 2, tot)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    ends = np.cumsum(sizes)
-    for ids_arr, ids_np in (
-        (pa.array([f"img{v:07d}" for v in raw]), np.array([f"img{v:07d}" for v in raw], dtype=object)),
-        (pa.array(raw, pa.int64()), raw),
-    ):
-        for cap in (512, 16, 1):
-            a1, b1 = _emit_pairs_from_runs(ids_arr, starts, ends, cap)
-            a0, b0 = _emit_pairs_from_runs_loop(ids_np, starts, ends, cap)
-            got = sorted(zip(a1.to_pylist(), b1.to_pylist())) if a1 is not None else None
-            want = sorted(zip(list(a0), list(b0))) if a0 is not None else None
-            assert got == want, cap
-    # empty + duplicate-only runs
-    assert _emit_pairs_from_runs(
-        pa.array([], pa.string()), np.empty(0, np.int64), np.empty(0, np.int64), 8
-    ) == (None, None)
-    assert _emit_pairs_from_runs(
-        pa.array(["a", "a"]), np.array([0]), np.array([2]), 8
-    ) == (None, None)
 
 
 def test_allpairs_window_pairs_matches_scalar_reference():

@@ -55,7 +55,6 @@ def test_minhash_lsh_matches_reference(ray_session, reference_datasketch, corpus
         use_simhash=False,
         use_substring=False,
         use_exact=False,
-        signature_concurrency=2,
         signature_batch_size=64,
     )
     out = dedup_pipeline(rd.from_arrow(table).repartition(4), cfg)
@@ -87,7 +86,6 @@ def test_minhash_lsh_matches_reference_threshold05(ray_session, reference_datask
         use_simhash=False,
         use_substring=False,
         use_exact=False,
-        signature_concurrency=2,
         num_partitions=4,
     )
     assert cfg.band_params == (25, 5)
@@ -107,7 +105,7 @@ def test_fused_pipeline_covers_planted_structure(ray_session, corpus):
     from raydedup.simhash import hamming_distance64, simhash_from_phash
 
     table, truth = corpus
-    cfg = DedupConfig(signature_concurrency=2, signature_batch_size=64)
+    cfg = DedupConfig(signature_batch_size=64)
     out = dedup_pipeline(rd.from_arrow(table).repartition(4), cfg)
     clusters = out["clusters"].to_pandas()
     lab = dict(zip(clusters.image_id, clusters.cluster_id))
@@ -161,7 +159,6 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     cfg = DedupConfig(
         use_simhash=False,
         use_substring=False,
-        signature_concurrency=2,
         checkpoint_dir=str(tmp_path / "ck"),
     )
     out1 = dedup_pipeline(rd.from_arrow(table), cfg)
@@ -188,7 +185,6 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     cfg3 = DedupConfig(
         use_simhash=False,
         use_substring=False,
-        signature_concurrency=2,
         checkpoint_dir=str(tmp_path / "ck"),
         threshold=0.5,
     )
@@ -235,14 +231,12 @@ def test_pipeline_with_jaccard_verification(ray_session, corpus):
         use_simhash=False,
         use_substring=False,
         use_exact=False,
-        signature_concurrency=2,
         num_partitions=4,
     )
     strict = DedupConfig(
         use_simhash=False,
         use_substring=False,
         use_exact=False,
-        signature_concurrency=2,
         num_partitions=4,
         verify_jaccard=True,
     )
@@ -292,7 +286,6 @@ def test_partial_checkpoint_resume(ray_session, corpus, tmp_path):
     cfg = DedupConfig(
         use_simhash=False,
         use_substring=False,
-        signature_concurrency=2,
         num_partitions=4,
         checkpoint_dir=str(tmp_path / "ck"),
     )
@@ -342,7 +335,6 @@ def test_jaccard_verification_keeps_non_minhash_pairs(ray_session, corpus):
         use_substring=True,
         use_exact=True,
         verify_jaccard=True,
-        signature_concurrency=2,
         num_partitions=4,
     )
     pairs = dedup_pipeline(rd.from_arrow(t), cfg)["pairs"].take_all()
@@ -388,7 +380,7 @@ def test_pipeline_degenerate_inputs(ray_session):
         }
     )
     for t in (empty, single):
-        out = dedup_pipeline(rd.from_arrow(t), DedupConfig(signature_concurrency=2))
+        out = dedup_pipeline(rd.from_arrow(t), DedupConfig())
         clusters = out["clusters"]
         n = clusters.num_rows if hasattr(clusters, "num_rows") else clusters.count()
         assert n == 0
@@ -408,7 +400,6 @@ def test_stage_functions_accept_empty_inputs(ray_session):
         pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
     )
     assert dd.exact_dedup(ed, ["text"], "doc_id").count() == 0
-    assert dd.exact_dup_pairs(ed, ["text"], "doc_id").count() == 0
     assert dd.substring_pairs(ed, "doc_id", "text").count() == 0
     assert dd.ngram_jaccard_pairs(ed, "doc_id", "text").count() == 0
     ee = rd.from_arrow(

@@ -324,3 +324,27 @@ def test_async_session_parity_and_concurrency(ray_session, corpus):
 
     asyncio.run(main())
     sync.shutdown()
+
+
+def test_async_insertion_session_flushes_with_last_flag(ray_session):
+    """The async buffered insert flushes its partial buffer on exit with
+    the ``check_duplication`` flag of the last ``insert``, like the sync
+    ``LshInsertionSession``: re-inserting an existing key with
+    ``check_duplication=False`` exits cleanly."""
+    import asyncio
+
+    from raydedup.aio import AsyncMinHashLshSession
+
+    sig = np.random.default_rng(1).integers(0, 1 << 32, 128, dtype=np.uint64)
+
+    async def main():
+        lsh = AsyncMinHashLshSession(threshold=0.5, num_perm=128, num_shards=1)
+        await lsh.insert("a", sig)
+        async with lsh.insertion_session(batch_size=100) as ins:
+            await ins.insert("a", sig, check_duplication=False)
+            await ins.insert("b", sig, check_duplication=False)
+        assert await lsh.count_keys() == 2
+        assert sorted(await lsh.query(sig)) == ["a", "b"]
+        await lsh.shutdown()
+
+    asyncio.run(main())

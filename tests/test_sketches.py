@@ -362,6 +362,32 @@ def test_bbit_block_packing_matches_reference(reference_datasketch):
         assert np.array_equal(bbit_unpack(blocks, 128, b), ours_vals.astype(np.uint32))
 
 
+def test_uint64_wraparound_folds_raise_no_overflow_warning(ray_session):
+    """The forest prefix-table / query-prefix folds and the fingerprint
+    powers wrap uint64 on purpose; they must not emit numpy's overflow
+    RuntimeWarning (pytest output stays warning-free)."""
+    import warnings
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from raydedup.schema import numpy_to_sig
+    from raydedup.stages.text import _FP_POWERS, _fp_powers
+    from raydedup.stages.topk import forest_prefix_table, forest_topk
+
+    sigs = np.random.default_rng(9).integers(0, 1 << 32, (8, 128), dtype=np.uint64)
+    t = pa.table({"doc_id": pa.array(range(8), pa.int64()), "minhash": numpy_to_sig(sigs)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Ray's dataset loggers leave their log files to the GC
+        warnings.simplefilter("ignore", ResourceWarning)
+        _FP_POWERS.pop(23, None)  # the cache would skip the fold
+        assert _fp_powers(23)[-1] == 1
+        table = forest_prefix_table(rd.from_arrow(t), "doc_id", l=4, k=8).materialize()
+        res = forest_topk(table, sigs[:2], [0, 1], topk=1, id_col="doc_id", l=4, k=8).take_all()
+    assert sorted(r["doc_id"] for r in res) == [0, 1]
+
+
 def test_forest_prefix_table_matches_reference(ray_session, reference_datasketch):
     """Per-depth candidate parity with MinHashLSHForest: a candidate
     matches at depth ≥ r in our prefix table iff the reference's
