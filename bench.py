@@ -289,8 +289,9 @@ def run_components() -> dict:
     clusters (stars of 1-3 edges), a few hot stars (skew probes), and
     one long chain (propagation-depth stress), with a 30% duplicate-edge
     multiset on top (band/mode duplicates). Both paths run through
-    ``connected_components`` so the distinct-edge dedupe is billed to
-    each identically; labels are asserted identical."""
+    ``connected_components`` on that multiset: the driver union-find
+    takes duplicates as they are, and the distributed peel pass dedupes
+    them. Labels are asserted identical."""
     import numpy as np
     import pyarrow as pa
     import ray

@@ -75,14 +75,19 @@ def test_bucket_stats(ray_session):
 
 
 def test_distributed_components_chain(ray_session):
-    """Worst-case diameter: a 300-node path converges via pointer
-    jumping (would exceed any fixed round cap with plain neighbor-min)."""
+    """Worst-case diameter: a 300-node path (would exceed any fixed
+    round cap with plain neighbor-min) converges in a few star rounds,
+    because each kernel contracts whole block-local components.
+    ``driver_finish_rows=0`` keeps the driver from taking the peel
+    output."""
     import ray.data as rd
 
     from raydedup.stages.components import components_distributed
 
     edges = pa.table({"id_a": pa.array(range(299)), "id_b": pa.array(range(1, 300))})
-    got = components_distributed(rd.from_arrow(edges), num_partitions=4).to_pandas()
+    got = components_distributed(
+        rd.from_arrow(edges), num_partitions=4, driver_finish_rows=0
+    ).to_pandas()
     assert len(got) == 300
     assert (got["cluster_id"] == 0).all()
 
@@ -162,13 +167,11 @@ def test_bucket_cap_star_is_component_equivalent(ray_session):
     assert lab_full.equals(lab_star)
 
 
-def test_distributed_jump_deep_forest(ray_session):
-    """Regression: many ascending 4-node paths peel into depth-3 parent
-    chains that reach the jump phase. The old jump loop retired records
-    whose parent lacked a self row, so a record rewritten onto a parent
-    that finalized one round earlier was mislabeled with the stale
-    parent (tail of every chain got its grandparent, not the root).
-    ``driver_finish_rows=0`` forces the fully distributed endgame."""
+def test_distributed_deep_forest(ray_session):
+    """Many ascending 4-node paths: the peel sets each path's last edge
+    aside, and that leaf hangs under a node that is not its
+    component's root, so the relabel must give it the star root, not
+    its parent. ``driver_finish_rows=0`` forces the relabel."""
     import ray.data as rd
 
     from raydedup.stages.components import components_distributed, components_driver
@@ -192,8 +195,10 @@ def test_distributed_jump_deep_forest(ray_session):
 def test_distributed_components_random_stress(ray_session):
     """Randomized parity vs the Python DSU across the shapes that broke
     earlier designs: mixed stars + chains + random blobs + duplicate
-    edges + reversed orientations, on both endgames (driver finish and
-    fully distributed jump)."""
+    edges + reversed orientations, on every ending: driver finish on
+    the peel output, driver finish after a star round (a budget one row
+    under the distinct edge count, which the peel output misses), and
+    the fully distributed relabel."""
     import ray.data as rd
 
     from raydedup.stages.components import DSU, components_distributed
@@ -233,8 +238,9 @@ def test_distributed_components_random_stress(ray_session):
     for x, y in zip(ids_a, ids_b):
         dsu.union(x, y)
     want = dict(sorted(dsu.labels().items()))
+    n_distinct = len({(min(x, y), max(x, y)) for x, y in zip(ids_a, ids_b)})
 
-    for finish_rows in (4_000_000, 0):
+    for finish_rows in (4_000_000, n_distinct - 1, 0):
         got_tbl = (
             components_distributed(
                 rd.from_arrow(edges), num_partitions=4, driver_finish_rows=finish_rows
@@ -248,7 +254,10 @@ def test_distributed_components_random_stress(ray_session):
 
 def test_distributed_components_string_ids(ray_session):
     """The flagship id column is a STRING — the distributed path (and
-    its fixpoint test) must work on non-numeric ids."""
+    its fixpoint test) must work on non-numeric ids. Every cluster has
+    size 2, so the peel leaves no residue: with the default
+    ``driver_finish_rows`` the driver finishes on the peel output, and
+    with 0 the relabel runs over an empty star set."""
     import ray.data as rd
 
     from raydedup.stages.components import components_distributed, components_driver
@@ -260,11 +269,36 @@ def test_distributed_components_string_ids(ray_session):
         }
     )
     want = components_driver(rd.from_arrow(edges)).to_pandas().sort_values("image_id").reset_index(drop=True)
+    for finish_rows in (4_000_000, 0):
+        got = (
+            components_distributed(
+                rd.from_arrow(edges), num_partitions=4, driver_finish_rows=finish_rows
+            )
+            .to_pandas()
+            .sort_values("image_id")
+            .reset_index(drop=True)
+        )
+        assert got["image_id"].tolist() == want["image_id"].tolist()
+        assert got["cluster_id"].tolist() == want["cluster_id"].tolist()
+
+
+def test_connected_components_distributed_raw_multiset(ray_session):
+    """``connected_components`` hands a raw multiset (duplicate and
+    reversed edges) over the driver budget straight to the distributed
+    path, whose peel pass is the only dedupe."""
+    import ray.data as rd
+
+    from raydedup.stages.components import components_driver, connected_components
+
+    a = [f"d{i:03d}" for i in [0, 0, 1, 2, 4, 5, 7, 7, 8, 11, 12, 12]]
+    b = [f"d{i:03d}" for i in [1, 2, 3, 3, 5, 6, 8, 9, 9, 12, 13, 14]]
+    a, b = a + b[:6] + a[6:], b + a[:6] + b[6:]  # reversed + duplicate edges
+    edges = rd.from_arrow(pa.table({"id_a": pa.array(a), "id_b": pa.array(b)}))
+    want = components_driver(edges).to_pandas()
     got = (
-        components_distributed(rd.from_arrow(edges), num_partitions=4)
+        connected_components(edges, max_driver_edges=0, num_partitions=4)
         .to_pandas()
         .sort_values("image_id")
         .reset_index(drop=True)
     )
-    assert got["image_id"].tolist() == want["image_id"].tolist()
-    assert got["cluster_id"].tolist() == want["cluster_id"].tolist()
+    assert got.equals(want.sort_values("image_id").reset_index(drop=True))
