@@ -107,6 +107,7 @@ def planted_recall_for(img_path: str, clusters, cfg) -> dict:
     import pyarrow.parquet as pq
     import ray
 
+    from raydedup.pipeline import SIMHASH_BANDS
     from raydedup.synth import planted_recall
 
     if hasattr(clusters, "to_arrow_refs"):  # Dataset → driver table
@@ -115,8 +116,28 @@ def planted_recall_for(img_path: str, clusters, cfg) -> dict:
         clusters,
         pq.read_table(truth_path(img_path)),
         substring_window=cfg.substring_window,
-        simhash_bands=cfg.simhash_bands,
+        simhash_bands=SIMHASH_BANDS,
     )
+
+
+def start_session():
+    """Start the local Ray session the bench modes run in (unless one
+    is already up), quiet: no progress bars, ray.data logs at ERROR."""
+    import logging
+
+    import ray
+    import ray.data as rd
+
+    if not ray.is_initialized():
+        ray.init(
+            address="local",
+            num_cpus=NUM_CPUS,
+            include_dashboard=False,
+            ignore_reinit_error=True,
+            logging_level="ERROR",
+        )
+    rd.DataContext.get_current().enable_progress_bars = False
+    logging.getLogger("ray.data").setLevel(logging.ERROR)
 
 
 def consume(ds) -> int:
@@ -127,26 +148,13 @@ def consume(ds) -> int:
 
 
 def run_bench() -> dict:
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=NUM_CPUS,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
     import ray.data as rd
 
-    ctx = rd.DataContext.get_current()
-    ctx.enable_progress_bars = False
-    import logging
-
-    logging.getLogger("ray.data").setLevel(logging.ERROR)
-
     from raydedup.pipeline import DedupConfig, dedup_pipeline
+    from raydedup.stages.grouped import task_stage
     from raydedup.stages.signatures import SignatureStage
+
+    start_session()
 
     img_path = ensure_bench_table(BENCH_N)
     # warm untimed: page cache for the input AND the Ray worker pool —
@@ -163,13 +171,7 @@ def run_bench() -> dict:
     # signatures/sec (north-rule throughput metric): signature stage
     # alone, task-based (state is tiny + seed-derived), counted without
     # shipping the signature blocks to the driver
-    holder = {}
-
-    def sig_fn(batch):
-        if "s" not in holder:
-            holder["s"] = SignatureStage(num_perm=128, seed=1, shingle="word3")
-        return holder["s"](batch)
-
+    sig_fn = task_stage(SignatureStage, num_perm=128, seed=1, shingle="word3")
     t0 = time.perf_counter()
     n_rows = (
         rd.read_parquet(img_path, columns=sig_cols)
@@ -297,17 +299,7 @@ def run_components() -> dict:
     import ray
     import ray.data as rd
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=NUM_CPUS,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    ctx = rd.DataContext.get_current()
-    ctx.enable_progress_bars = False
-
+    start_session()
     n_edges = int(os.environ.get("RAYDEDUP_CC_EDGES", "8000000"))
     rng = np.random.default_rng(0)
     next_id = 0
@@ -399,8 +391,7 @@ def run_components() -> dict:
 def run_rehearsal() -> dict:
     """End-to-end 100-TB-configuration rehearsal (VERDICT r03 next-#8):
     the flagship pipeline at ~5M rows with ``max_driver_edges=0``
-    (forced distributed connected components) — the substring Bloom
-    semi-join prune auto-enables at this row count. The driver-DSU
+    (forced distributed connected components). The driver-DSU
     components path then runs on the SAME pair table and the two
     labelings are asserted identical (the at-scale stand-in for the
     ``minhash_clusters_md5`` oracle), with the wall ratio reported."""
@@ -409,20 +400,10 @@ def run_rehearsal() -> dict:
     import ray
     import ray.data as rd
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=NUM_CPUS,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    ctx = rd.DataContext.get_current()
-    ctx.enable_progress_bars = False
-
     from raydedup.pipeline import DedupConfig, dedup_pipeline
     from raydedup.stages.components import connected_components
 
+    start_session()
     n_base = int(os.environ.get("RAYDEDUP_REHEARSAL_N", "2800000"))
     img_path = ensure_bench_table(n_base, with_images=False)
     consume(rd.read_parquet(img_path, columns=["image_id"]))  # warm page cache

@@ -43,7 +43,6 @@ def build_config(args) -> "DedupConfig":
         seed=args.seed,
         threshold=args.threshold,
         shingle=args.shingle,
-        use_simhash=not args.no_simhash,
         use_substring=not args.no_substring,
         use_exact=not args.no_exact,
         substring_window=args.substring_window,

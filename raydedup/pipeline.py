@@ -3,8 +3,9 @@
 read(images table) → SignatureStage (map tasks: MinHash over caption
 shingles + SimHash from phash) → band explode (MinHash b×r bands ∪
 SimHash bit-bands ∪ exact content hashes) → ONE bucket shuffle →
-candidate pairs (+ window-anchor substring pairs) → optional Jaccard
-verification → connected components → (image_id, cluster_id).
+candidate pairs (+ window-anchor substring pairs) → connected
+components → (image_id, cluster_id). Candidates stay unfiltered, as the
+reference returns them (``datasketch/lsh.py:376-378``).
 
 Per-stage checkpointing: every materialized stage can persist to a
 named Parquet directory with a manifest (total rows, wall time, config
@@ -24,15 +25,21 @@ import os
 import time
 from dataclasses import dataclass, asdict
 
-import numpy as np
 import pyarrow as pa
 
 from raydedup.params import optimal_param
 from raydedup.stages.bands import fused_candidate_pairs
 from raydedup.stages.components import connected_components
 from raydedup.stages.dedup import substring_pairs
+from raydedup.stages.grouped import task_stage
 from raydedup.stages.signatures import SignatureStage
-from raydedup.stages.verify import verify_pairs
+
+# SimHash bit-bands over the 64-bit phash: pigeonhole catches every pair
+# at Hamming distance ≤ SIMHASH_BANDS - 1 (= 3)
+SIMHASH_BANDS = 4
+# rows per signature map batch: the (tokens, 128) permute temporary
+# stays ~6 MB, cache-friendly
+SIGNATURE_BATCH_SIZE = 256
 
 
 @dataclass
@@ -41,17 +48,13 @@ class DedupConfig:
     seed: int = 1
     threshold: float = 0.8
     shingle: str = "word3"
-    use_simhash: bool = True
-    simhash_bands: int = 4  # catches Hamming ≤ 3 on the 64-bit phash
     use_substring: bool = True
     substring_window: int = 4
     use_exact: bool = True
-    verify_jaccard: bool = False  # reference candidates are unfiltered (lsh.py:376-378)
     bucket_cap: int = 512
     id_col: str = "image_id"
     text_col: str = "caption"
-    phash_col: str | None = "phash"
-    signature_batch_size: int = 256  # cache-friendly: (tokens,128) permute temporary stays ~6 MB
+    phash_col: str | None = "phash"  # None turns SimHash off
     # "sha1" = reference-bit-exact profile; "md5" = DuckDB-reproducible
     # profile (md5_number_lower) for oracled queries — the reference
     # treats hashfunc as pluggable (datasketch/hashfunc.py)
@@ -166,30 +169,24 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
     ck = Checkpointer(cfg.checkpoint_dir, cfg.fingerprint())
 
     def build_signatures():
-        stage_kwargs = dict(
+        # stateless map tasks; the (tiny, seed-derived) permutation
+        # state is rebuilt once per worker process — task scheduling is
+        # elastic where an actor pool pays spin-up + ramp
+        fn = task_stage(
+            SignatureStage,
             num_perm=cfg.num_perm,
             seed=cfg.seed,
             shingle=cfg.shingle,
             text_col=cfg.text_col,
-            phash_col=cfg.phash_col if cfg.use_simhash else None,
+            phash_col=cfg.phash_col,
             hashfunc=cfg.hashfunc,
         )
-        # stateless map tasks; the (tiny, seed-derived) permutation
-        # state is rebuilt once per worker process — task scheduling is
-        # elastic where an actor pool pays spin-up + ramp
-        holder: dict = {}
-
-        def fn(batch):
-            if "stage" not in holder:  # once per worker process
-                holder["stage"] = SignatureStage(**stage_kwargs)
-            return holder["stage"](batch)
-
         return ds.map_batches(
-            fn, batch_format="pyarrow", batch_size=cfg.signature_batch_size, num_cpus=1
+            fn, batch_format="pyarrow", batch_size=SIGNATURE_BATCH_SIZE, num_cpus=1
         )
 
     # The signature table is consumed by several downstream branches
-    # (minhash bands, simhash bands, exact/substring, verification); the
+    # (minhash bands, simhash bands, exact, substring); the
     # checkpoint (or in-memory materialize) pins it so the lazy plan is
     # never duplicated per branch.
     signatures = ck.run("signatures", build_signatures)
@@ -239,8 +236,8 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
         b,
         r,
         num_perm=cfg.num_perm,
-        simhash_bands=cfg.simhash_bands if (cfg.use_simhash and cfg.phash_col) else 0,
-        max_hamming=cfg.simhash_bands - 1,
+        simhash_bands=SIMHASH_BANDS if cfg.phash_col else 0,
+        max_hamming=SIMHASH_BANDS - 1,
         exact_cols=(
             tuple([cfg.text_col, cfg.phash_col] if cfg.phash_col else [cfg.text_col])
             if cfg.use_exact
@@ -248,30 +245,15 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
         ),
         bucket_cap=cfg.bucket_cap,
         num_partitions=npart,
-        dedupe=False,  # deduped globally below, together with substring pairs
     )
     if cfg.use_substring:
-
-        def build_substring():
-            import pyarrow as _pa
-
-            pairs = substring_pairs(
-                signatures,
-                cfg.id_col,
-                cfg.text_col,
-                window=cfg.substring_window,
-                num_partitions=npart,
-            )
-            # tag with source mode 3 so the optional Jaccard filter
-            # never drops substring containments with dissimilar captions
-            return pairs.map_batches(
-                lambda t: t.append_column(
-                    "mode", _pa.array(np.full(len(t), 3, dtype=np.int8))
-                ),
-                batch_format="pyarrow",
-            )
-
-        branches["pairs_substring"] = build_substring
+        branches["pairs_substring"] = lambda: substring_pairs(
+            signatures,
+            cfg.id_col,
+            cfg.text_col,
+            window=cfg.substring_window,
+            num_partitions=npart,
+        )
 
     pair_sets = [ck.run(name, build) for name, build in branches.items()]
 
@@ -286,37 +268,13 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
         pairs = pair_sets[0]
         for e in pair_sets[1:]:
             pairs = pairs.union(e)
+        return pairs
 
-        if cfg.verify_jaccard:
-            # The caption-MinHash Jaccard filter applies ONLY to
-            # MinHash-band candidates (mode 0); SimHash, exact and
-            # substring pairs are already verified in their own metric
-            # (Hamming distance / content equality / containment) and
-            # pass through unfiltered.
-            import pyarrow.compute as pc
-
-            mh = pairs.map_batches(
-                lambda t: t.filter(pc.equal(t.column("mode"), 0)).select(["id_a", "id_b"]),
-                batch_format="pyarrow",
-            )
-            other = pairs.map_batches(
-                lambda t: t.filter(pc.not_equal(t.column("mode"), 0)).select(["id_a", "id_b"]),
-                batch_format="pyarrow",
-            )
-            mh = unique_rows_partitioned(mh, ["id_a", "id_b"], npart_pairs)
-            verified = verify_pairs(
-                mh, signatures, cfg.id_col, cfg.threshold, cfg.num_perm, npart_pairs
-            ).select_columns(["id_a", "id_b"])
-            return verified.union(other)
-        return pairs.map_batches(
-            lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
-        )
-
-    # the edge multiset (band/mode duplicates still in): union-find is
-    # duplicate-tolerant, so components run directly on it and the
-    # dedupe shuffle is LAZY — it only executes if a caller actually
-    # consumes the ``pairs`` table (the driver queries do; bench's
-    # cluster-only flagship run doesn't pay for it)
+    # the edge multiset (band and cross-source duplicates still in):
+    # union-find is duplicate-tolerant, so components run directly on
+    # it and the dedupe shuffle is LAZY — it only executes if a caller
+    # actually consumes the ``pairs`` table (the driver queries do;
+    # bench's cluster-only flagship run doesn't pay for it)
     edges = ck.run("pairs", build_pairs)
 
     t0 = time.perf_counter()

@@ -52,7 +52,6 @@ def q_minhash_dedup_docs(sf_dir: str):
         id_col="doc_id",
         text_col="text",
         phash_col=None,
-        use_simhash=False,
         use_substring=False,
         use_exact=True,
     )
@@ -80,7 +79,6 @@ def q_lsh_candidate_pairs_docs(sf_dir: str):
         id_col="doc_id",
         text_col="text",
         phash_col=None,
-        use_simhash=False,
         use_substring=False,
         use_exact=False,
         hashfunc="md5",  # SQL-reproducible band buckets
@@ -140,28 +138,13 @@ def q_token_counts(sf_dir: str):
     )
 
 
-def _task_stage(cls):
-    """Per-worker closure cache around a stage class: state is built
-    once per worker PROCESS (same amortization as an actor pool) but
-    scheduling stays elastic tasks — right for stages whose state is
-    tiny (compiled regexes, small tables). Heavy-state stages (decode
-    codecs, models) stay real actor pools (e.g. media.DecodeFeaturesStage)."""
-    holder: dict = {}
-
-    def fn(batch):
-        if "s" not in holder:
-            holder["s"] = cls()
-        return holder["s"](batch)
-
-    return fn
-
-
 def q_doc_quality(sf_dir: str):
+    from raydedup.stages.grouped import task_stage
     from raydedup.stages.text import QualityStage
 
     return (
         _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(_task_stage(QualityStage), batch_format="pyarrow")
+        .map_batches(task_stage(QualityStage), batch_format="pyarrow")
         .select_columns(
             ["doc_id", "q_n_chars", "q_punct_ratio", "q_digit_ratio", "q_stopword_ratio", "q_mean_word_len"]
         )
@@ -169,11 +152,12 @@ def q_doc_quality(sf_dir: str):
 
 
 def q_langid_docs(sf_dir: str):
+    from raydedup.stages.grouped import task_stage
     from raydedup.stages.text import LangIdStage
 
     return (
         _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(_task_stage(LangIdStage), batch_format="pyarrow")
+        .map_batches(task_stage(LangIdStage), batch_format="pyarrow")
         .select_columns(["doc_id", "lang_pred", "lang_score"])
     )
 
@@ -1450,13 +1434,14 @@ def q_cross_source_neardup(sf_dir: str):
     filter runs inside the bucket kernel, not as a post-hoc join
     against a doc→source table (which at 10^12 rows would be a second
     all-to-all)."""
+    import polars as pl
+
     from raydedup.schema import sig_to_numpy
     from raydedup.stages.bands import (
         _flat_triu,
         _unique_codes_per_run,
         fold_band_buckets,
     )
-    from raydedup.stages.dedup import _hash_id_array
     from raydedup.stages.grouped import (
         auto_partitions,
         map_key_runs,
@@ -1488,7 +1473,9 @@ def q_cross_source_neardup(sf_dir: str):
         sig = sig_to_numpy(batch.column("minhash"), num_perm)
         buckets = fold_band_buckets(sig, b, r)
         idx = pa.array(np.repeat(np.arange(len(batch), dtype=np.int64), b))
-        srch = _hash_id_array(batch.column("source"))
+        # 64-bit source hash, vectorized (zero-copy Arrow → polars);
+        # only equality within one run matters
+        srch = pl.from_arrow(batch.column("source")).hash(seed=0x1D5).to_numpy().astype(np.uint64)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id").take(idx),
@@ -2127,7 +2114,6 @@ def q_minhash_clusters_md5(sf_dir: str):
         id_col="doc_id",
         text_col="text",
         phash_col=None,
-        use_simhash=False,
         use_substring=False,
         use_exact=True,
         hashfunc="md5",
@@ -2166,7 +2152,6 @@ def q_cluster_representatives(sf_dir: str):
         id_col="doc_id",
         text_col="text",
         phash_col=None,
-        use_simhash=False,
         use_substring=False,
         use_exact=True,
         hashfunc="md5",

@@ -13,8 +13,9 @@ Scale design:
 - the exploded table carries ONLY ``(id, bucket: uint64, aux, mode)``
   — the band's r×8-byte key is mixed down to one 64-bit value with a
   vectorized FNV-style fold (band_idx is mixed in so distinct bands
-  never share a bucket). A 64-bit collision adds a false candidate pair with
-  probability ~(n·b)²/2⁶⁴ — swallowed by the verification stage.
+  never share a bucket). A 64-bit collision adds a false candidate pair
+  with probability ~(n·b)²/2⁶⁴ — a handful at 10⁹ rows; candidates stay
+  unfiltered, as the reference returns them (``lsh.py:376-378``).
 - skew: buckets larger than ``bucket_cap`` emit a star (min-id to each
   member) instead of all O(m²) pairs — the connected-components result
   is identical because every bucket is one clique either way; run
@@ -32,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raydedup.stages.grouped import map_key_runs, unique_rows_partitioned
+from raydedup.stages.grouped import map_key_runs
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -133,7 +134,7 @@ def _exact_key_hash128(batch: pa.Table, exact_cols: tuple) -> tuple:
     preserves semantics; a cross-content collision needs both words to
     collide (~n²/2¹²⁸). Replaces a per-row ``hashlib.sha1`` loop that
     dominated the fused-explode wall (VERDICT r02 §next-2)."""
-    import pyarrow.compute as pc
+    import polars as pl
 
     rendered = []
     for c in exact_cols:
@@ -143,22 +144,9 @@ def _exact_key_hash128(batch: pa.Table, exact_cols: tuple) -> tuple:
     joined = rendered[0] if len(rendered) == 1 else pc.binary_join_element_wise(
         *rendered, "\x1f"
     )
-    try:
-        import polars as pl
-
-        s = pl.Series("k", pa.chunked_array([joined]) if isinstance(joined, pa.Array) else joined)
-        lo = s.hash(seed=0x51DE).to_numpy().astype(np.uint64)
-        hi = s.hash(seed=0xC0FE).to_numpy().astype(np.uint64)
-    except ImportError:  # pragma: no cover - polars is baked into the env
-        import hashlib
-
-        keys = joined.to_pylist()
-        lo = np.empty(len(keys), dtype=np.uint64)
-        hi = np.empty(len(keys), dtype=np.uint64)
-        for i, k in enumerate(keys):
-            d = hashlib.sha1(k.encode("utf-8")).digest()
-            lo[i] = int.from_bytes(d[:8], "little")
-            hi[i] = int.from_bytes(d[8:16], "little")
+    s = pl.Series("k", pa.chunked_array([joined]) if isinstance(joined, pa.Array) else joined)
+    lo = s.hash(seed=0x51DE).to_numpy().astype(np.uint64)
+    hi = s.hash(seed=0xC0FE).to_numpy().astype(np.uint64)
     return lo, hi
 
 
@@ -247,13 +235,11 @@ def fused_candidate_pairs(
     exact_cols: tuple = (),
     bucket_cap: int = 512,
     num_partitions: int = 32,
-    dedupe: bool = False,
 ):
-    """MinHash ∪ SimHash ∪ exact candidate pairs in ONE shuffle.
-
-    Pair duplicates across bands are left in (``dedupe=False``) when the
-    caller runs a global dedupe over all sources anyway — one fewer
-    all-to-all per branch."""
+    """MinHash ∪ SimHash ∪ exact candidate pairs ``(id_a, id_b)`` in
+    ONE shuffle. Pair duplicates across bands and modes are left in:
+    the caller dedupes once over all pair sources (and components are
+    duplicate-tolerant) — one fewer all-to-all per branch."""
     from raydedup.simhash import hamming_distance64
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -284,13 +270,7 @@ def fused_candidate_pairs(
         if isinstance(idc, pa.ChunkedArray):
             idc = idc.combine_chunks()
         typ = idc.type if len(idc) else block.column(id_col).type
-        empty = pa.table(
-            {
-                "id_a": pa.array([], typ),
-                "id_b": pa.array([], typ),
-                "mode": pa.array([], pa.int8()),
-            }
-        )
+        empty = pa.table({"id_a": pa.array([], typ), "id_b": pa.array([], typ)})
         if len(starts) == 0:
             return empty
         aux = block.column("aux").to_numpy(zero_copy_only=False)
@@ -325,7 +305,6 @@ def fused_candidate_pairs(
         modec = modes[starts]
         out_l: list[np.ndarray] = []
         out_r: list[np.ndarray] = []
-        out_m: list[np.ndarray] = []
 
         # ---- mode 0: clique per bucket ≤ cap, min-id star above
         m0 = np.flatnonzero((modec == 0) & (sizes >= 2))
@@ -335,12 +314,10 @@ def fused_candidate_pairs(
             iu, ju = np.triu_indices(m, 1)
             out_l.append((sel[:, None] + iu[None, :]).ravel())
             out_r.append((sel[:, None] + ju[None, :]).ravel())
-            out_m.append(np.zeros(len(sel) * len(iu), dtype=np.int8))
         for ridx in m0[sizes[m0] > bucket_cap]:  # star — rare skew guard
             s0, m = roff[ridx], sizes[ridx]
             out_l.append(np.full(m - 1, s0, dtype=np.int64))
             out_r.append(s0 + np.arange(1, m, dtype=np.int64))
-            out_m.append(np.zeros(m - 1, dtype=np.int8))
 
         # ---- mode 1: all pairs, verified at true Hamming distance;
         # degenerate constant-phash floods skipped (exact path covers)
@@ -354,10 +331,8 @@ def fused_candidate_pairs(
                 sel = sel_all[c0 : c0 + step]
                 w = auxc[sel[:, None] + np.arange(m)]
                 keep = hamming_distance64(w[:, iu], w[:, ju]) <= max_hamming
-                li = (sel[:, None] + iu[None, :])[keep]
-                out_l.append(li)
+                out_l.append((sel[:, None] + iu[None, :])[keep])
                 out_r.append((sel[:, None] + ju[None, :])[keep])
-                out_m.append(np.ones(len(li), dtype=np.int8))
 
         # ---- mode 2: star per (bucket, aux-word) sub-run — the
         # (aux, id) sort makes sub-groups consecutive, min id first
@@ -375,7 +350,6 @@ def fused_candidate_pairs(
                 out_r.append(
                     np.arange(tot) - np.repeat(pre2, sz - 1) + np.repeat(ss + 1, sz - 1)
                 )
-                out_m.append(np.full(tot, 2, dtype=np.int8))
 
         if not out_l:
             return empty
@@ -388,11 +362,7 @@ def fused_candidate_pairs(
             {
                 "id_a": pc.if_else(swap, b2, a),
                 "id_b": pc.if_else(swap, a, b2),
-                "mode": pa.array(np.concatenate(out_m), pa.int8()),
             }
         )
 
-    pairs = map_key_runs(band_ds, "bucket", emit, num_partitions, sort_extra=["aux", id_col])
-    if dedupe:
-        return unique_rows_partitioned(pairs, ["id_a", "id_b"], num_partitions)
-    return pairs
+    return map_key_runs(band_ds, "bucket", emit, num_partitions, sort_extra=["aux", id_col])

@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 import pyarrow as pa
@@ -36,65 +35,6 @@ def _cached_object(ref):
         v = ray.get(ref)
         _worker_obj_cache[key] = v
     return v
-
-
-def _hash_id_array(col) -> np.ndarray:
-    """Vectorized 64-bit hash of an id column (any Arrow type) for
-    Bloom membership probes — both sides of a semi-join must use this
-    same function."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    try:
-        import polars as pl
-
-        # zero-copy Arrow → polars; both Bloom build and probe sides go
-        # through this same function within a run, so the hash only
-        # needs internal consistency
-        return pl.from_arrow(col).hash(seed=0x1D5).to_numpy().astype(np.uint64)
-    except ImportError:  # pragma: no cover - polars is baked into the env
-        return np.fromiter(
-            (
-                struct.unpack("<Q", hashlib.sha1(repr(v).encode()).digest()[:8])[0]
-                for v in col.to_pylist()
-            ),
-            dtype=np.uint64,
-            count=len(col),
-        )
-
-
-def _uint64_bloom(col_ds, col: str, n_items: int, fp: float = 0.01):
-    """Fixed-size Bloom membership set over a uint64 column, built with
-    ONE Dataset aggregate (per-block partial filters OR-merged — the
-    ``bloom.py`` machinery with a single band). The semi-join primitive
-    for pruning a wide shuffle's probe side: ~1.2 bytes/item at fp=1%,
-    broadcast once via ``ray.put``."""
-    from ray.data.aggregate import AggregateFn
-
-    from raydedup.bloom import BandBloomFilter
-
-    proto = BandBloomFilter(b=1, r=1, n_items=n_items, fp=fp)
-    shape = proto.bits.shape
-
-    # aggregate state is the raw BIT ARRAY (Arrow-friendly tensor), not
-    # the filter object — a Python-object accumulator forces Ray's
-    # pickled-fallback block path (same design as bloom.py's aggregate)
-    def accumulate_block(state: np.ndarray, block) -> np.ndarray:
-        vals = block.column(col).to_numpy(zero_copy_only=False)
-        if len(vals):
-            f = BandBloomFilter(b=1, r=1, n_items=n_items, fp=fp, bits=state)
-            f.insert_band_values(np.ascontiguousarray(vals, dtype=np.uint64)[:, None])
-            state = f.bits
-        return state
-
-    agg = AggregateFn(
-        init=lambda _: np.zeros(shape, dtype=np.uint8),
-        accumulate_block=accumulate_block,
-        merge=lambda a, b: np.bitwise_or(a, b),
-        name="bloom",
-    )
-    out = col_ds.aggregate(agg)
-    bits = out.get("bloom") if out else None
-    return BandBloomFilter(b=1, r=1, n_items=n_items, fp=fp, bits=bits) if bits is not None else proto
 
 
 # ---------------------------------------------------------------- exact dedup
@@ -158,7 +98,7 @@ def exact_dedup(ds, key_cols: list[str], id_col: str, keep_payload: bool = True,
 
 
 # ------------------------------------------------------------ substring dedup
-def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partitions: int | None = None, prefilter: bool | None = None):
+def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partitions: int | None = None):
     """(contained_id → id_a, container_id → id_b) pairs where one
     caption is a strict token-slice of another.
 
@@ -194,9 +134,12 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
     candidate emission and hash verify are unchanged and fully
     distributed; with no short docs the only cost is the pre-pass
     column scan (at warehouse scale, feed that from token-count stats
-    instead)."""
-    import ray
-    from raydedup.stages.grouped import auto_partitions, map_key_runs
+    instead).
+
+    Up to ``SMALL_SHUFFLE_ROWS`` docs the explode runs as one staged
+    block, so both shuffles can coalesce; above it, the explode streams
+    into the anchor shuffle."""
+    from raydedup.stages.grouped import auto_partitions, map_key_runs, meta_count, staged
     from raydedup.suffix import (
         _W_FNV_OFFSET,
         _W_FNV_PRIME,
@@ -211,7 +154,7 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
 
     from raydedup.stages import grouped as _G
 
-    n_docs = _G.meta_count(ds)
+    n_docs = meta_count(ds)
     small_corpus = bool(
         _G.SMALL_SHUFFLE_ROWS and n_docs is not None and 0 < n_docs <= _G.SMALL_SHUFFLE_ROWS
     )
@@ -394,9 +337,11 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
 
     if small_corpus:
         # one coalesced block: explode computes short_lens in-task (no
-        # pre-pass execution), and staging gives the anchor shuffle a
-        # real row count so it can coalesce too
-        exploded = (
+        # pre-pass execution), and staging makes the explode's row count
+        # metadata-visible, so the anchor shuffle below can take the
+        # coalesced small path too (the aggregator machinery would
+        # otherwise cost ~1.9 s on a few thousand anchor rows)
+        exploded = staged(
             ds.select_columns([id_col, text_col])
             .repartition(1)
             .map_batches(explode, batch_size=None, batch_format="pyarrow")
@@ -524,57 +469,6 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
             }
         )
 
-    from raydedup.stages.grouped import staged
-
-    # ---- anchor-membership prune (semi-join before the wide shuffle):
-    # only anchors that are some doc's MIN window (a query row) can ever
-    # form a candidate, and queries are ~1/avg_windows of the exploded
-    # rows — so a fixed-size Bloom filter of query anchors, built with
-    # one aggregate and broadcast once, drops the bulk of the container
-    # rows on the map side. False positives only let harmless extra
-    # containers through; false negatives are impossible (Bloom
-    # contract), so the pair set is unchanged.
-    from raydedup.stages.grouped import meta_count
-
-    if prefilter is None:
-        # auto: the semi-join prune pays two extra scans of the exploded
-        # table + a filter broadcast to shrink the anchor/verify
-        # shuffles ~6×. Below ~1M docs the shuffles are fixed-cost-bound
-        # and the prune measures ~25% SLOWER; above, shuffle volume
-        # dominates and pruning is the 100-TB shape. Threshold on a
-        # metadata-cheap row count (unknown lineage → stay off at this
-        # scale; the flagship always passes a materialized table).
-        prefilter = bool(n_docs and n_docs >= 1_000_000)
-    if small_corpus and not prefilter:
-        # materialization makes the explode's row count
-        # metadata-visible, so the anchor shuffle below can take the
-        # coalesced small path (the aggregator machinery would
-        # otherwise cost ~1.9 s on a few thousand anchor rows)
-        exploded = staged(exploded)
-    if prefilter:
-        exploded = staged(exploded)
-        n_exploded = exploded.count()  # staged → metadata-cheap
-        fbloom = _uint64_bloom(
-            exploded.map_batches(
-                lambda t: t.filter(pc.equal(t.column("role"), 0)).select(["anchor"]),
-                batch_format="pyarrow",
-            ),
-            "anchor",
-            n_items=max(1024, n_exploded // 4),
-        )
-        filt_ref = ray.put(fbloom)
-
-        def prune(t: pa.Table) -> pa.Table:
-            f = _cached_object(filt_ref)
-            role = t.column("role").to_numpy(zero_copy_only=False)
-            anchors = t.column("anchor").to_numpy(zero_copy_only=False)
-            keep = role == 0
-            cont = np.flatnonzero(~keep)
-            if len(cont):
-                keep[cont] = f.query_band_values(anchors[cont, None])
-            return t.filter(pa.array(keep))
-
-        exploded = exploded.map_batches(prune, batch_format="pyarrow")
     # anchor rows are slim (~25-40 B: anchor u64 + id + 3 small ints),
     # so the coalesce gate can sit far above the 0.5 KB-row default —
     # 1M rows is a ~30 MB single block, cheaper than aggregator actors
@@ -584,29 +478,8 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
         )
     )
 
-    # ---- verify: key candidates by container id, union the docs table.
-    # Same semi-join prune on this side: only docs named as a container
-    # by ≥1 candidate need their text in the verify shuffle (docs with
-    # no candidates would form singleton runs verify skips anyway) —
-    # a Bloom of candidate container-id hashes drops them at the map.
-    dbloom_ref = None
-    if prefilter:
-        n_cand = candidates.count()  # staged → metadata-cheap
-        dbloom = _uint64_bloom(
-            candidates.map_batches(
-                lambda t: pa.table({"h": pa.array(_hash_id_array(t.column("key")))}),
-                batch_format="pyarrow",
-            ),
-            "h",
-            n_items=max(1024, n_cand),
-        )
-        dbloom_ref = ray.put(dbloom)
-
+    # ---- verify: key candidates by container id, union the docs table
     def tag_docs(batch: pa.Table) -> pa.Table:
-        if dbloom_ref is not None:
-            f = _cached_object(dbloom_ref)
-            keep = f.query_band_values(_hash_id_array(batch.column(id_col))[:, None])
-            batch = batch.filter(pa.array(keep))
         n = len(batch)
         return pa.table(
             {
@@ -702,9 +575,9 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partiti
         out = pa.table({"id_a": qa, "id_b": cb})
         return out.group_by(["id_a", "id_b"]).aggregate([]).cast(empty_pairs.schema)
 
-    # exact upper bound for the union the planner can't size: tag_docs
-    # emits ≤ n_docs rows (the Bloom prune only removes), pad_candidates
-    # exactly the staged candidate count — lets tiny corpora coalesce
+    # exact row count of the union the planner can't size: tag_docs
+    # emits n_docs rows, pad_candidates the staged candidate count —
+    # lets tiny corpora coalesce
     n_cand = meta_count(candidates)
     approx_verify = (n_docs + n_cand) if (n_docs is not None and n_cand is not None) else None
     pairs = map_key_runs(
@@ -1458,8 +1331,8 @@ def ngram_jaccard_pairs(
     which was O(|distinct shingles|)); prefix rows carry only
     (anchor: uint64, id) — 16 bytes, no shingle-set payload; exact
     Jaccard is verified AFTER candidate dedupe by joining each doc's
-    packed shingle-hash set once per side (stages/verify reduce-side
-    join). Returns (id_a, id_b, jaccard) with id_a < id_b.
+    packed shingle-hash set once per side (``_pair_set_verify``).
+    Returns (id_a, id_b, jaccard) with id_a < id_b.
     """
     import ray
 

@@ -163,6 +163,23 @@ def staged(ds):
     return ds.materialize()
 
 
+def task_stage(cls, **kwargs):
+    """Per-worker cache around a stage class for ``map_batches`` tasks:
+    ``cls(**kwargs)`` is built once per worker PROCESS (the same
+    amortization as an actor pool) while scheduling stays elastic
+    tasks — right for stages whose state is tiny (seed-derived
+    permutations, compiled regexes, small tables). Heavy-state stages
+    (decode codecs, models) stay real actor pools."""
+    holder: dict = {}
+
+    def fn(batch):
+        if "s" not in holder:
+            holder["s"] = cls(**kwargs)
+        return holder["s"](batch)
+
+    return fn
+
+
 def _run_bounds(block: pa.Table, keys: list[str]):
     n = len(block)
     change = np.zeros(n - 1, dtype=bool)

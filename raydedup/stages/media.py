@@ -21,6 +21,7 @@ from raydedup.media import (
     box_downsample,
     decode_image,
     phash64,
+    psnr,
     resize_image,
     sniff_format,
 )
@@ -75,6 +76,45 @@ class DecodeFeaturesStage:
                 "mean_g": pa.array(means[:, 1], pa.float64()),
                 "mean_b": pa.array(means[:, 2], pa.float64()),
                 "decode_ok": pa.array(ok, pa.bool_()),
+            }
+        )
+
+
+class DecodeInvariantStage:
+    """Actor-pool stage checking the per-row image invariant
+    (BASELINE.json input_hint): decode the payload and report PSNR vs a
+    deterministically regenerated reference buffer (lossless fmts must
+    be bit-exact → PSNR inf; lossy must be ≥ min_psnr_db).
+
+    Emits (image_id, fmt, psnr_db, ok) — a metrics table, not a filter.
+    """
+
+    def __init__(self, min_psnr_db: float = 40.0):
+        self.min_psnr_db = min_psnr_db
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ids = batch.column("image_id").to_pylist()
+        blobs = batch.column("bytes").to_pylist()
+        ws = batch.column("w").to_pylist()
+        hs = batch.column("h").to_pylist()
+        fmts = batch.column("fmt").to_pylist()
+        refs = batch.column("ref_pixels").to_pylist() if "ref_pixels" in batch.column_names else None
+        out_psnr, ok = [], []
+        for i in range(len(ids)):
+            img = decode_image(blobs[i], ws[i], hs[i], fmts[i])
+            if refs is not None:
+                ref = np.frombuffer(refs[i], dtype=np.uint8).reshape(hs[i], ws[i], 3)
+                p = psnr(img, ref)
+            else:
+                p = float("inf")  # decode succeeded; no reference buffer provided
+            out_psnr.append(p)
+            ok.append(p >= self.min_psnr_db)
+        return pa.table(
+            {
+                "image_id": pa.array(ids, pa.string()),
+                "fmt": pa.array(fmts, pa.string()),
+                "psnr_db": pa.array(out_psnr, pa.float64()),
+                "ok": pa.array(ok, pa.bool_()),
             }
         )
 

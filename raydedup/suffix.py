@@ -16,9 +16,6 @@ candidate is lost.
 
 from __future__ import annotations
 
-import hashlib
-import struct
-
 import numpy as np
 
 _W_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -43,22 +40,13 @@ def flat_token_hashes64(tokens) -> np.ndarray:
     string Array (zero-copy into polars)."""
     if len(tokens) == 0:
         return np.empty(0, dtype=np.uint64)
-    try:
-        import polars as pl
+    import polars as pl
 
-        if isinstance(tokens, list):
-            s = pl.Series(tokens, dtype=pl.Utf8)
-        else:  # pyarrow Array / ChunkedArray, zero-copy
-            s = pl.from_arrow(tokens)
-        return s.hash(seed=_TOKEN_SEED).to_numpy().astype(np.uint64)
-    except ImportError:  # pragma: no cover - polars is baked into the env
-        if not isinstance(tokens, list):
-            tokens = tokens.to_pylist()
-        return np.fromiter(
-            (struct.unpack("<Q", hashlib.sha1(t.encode("utf-8")).digest()[:8])[0] for t in tokens),
-            dtype=np.uint64,
-            count=len(tokens),
-        )
+    if isinstance(tokens, list):
+        s = pl.Series(tokens, dtype=pl.Utf8)
+    else:  # pyarrow Array / ChunkedArray, zero-copy
+        s = pl.from_arrow(tokens)
+    return s.hash(seed=_TOKEN_SEED).to_numpy().astype(np.uint64)
 
 
 def split_ws_tokens(col) -> tuple[np.ndarray, "object"]:

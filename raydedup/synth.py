@@ -384,7 +384,7 @@ def truth_pairs_table(table: pa.Table, truth: GroundTruth) -> pa.Table:
     - ``simhash_dist``: Hamming distance between the pair's 64-bit
       SimHash fingerprints — an image near-dup is findable when the
       distance fits the banded Hamming budget
-      (``cfg.simhash_bands - 1``).
+      (``pipeline.SIMHASH_BANDS - 1``).
 
     Kinds: exact_dup / skew_exact_caption (always detectable),
     substring_dup, image_near_dup (gated as above), caption_near_dup

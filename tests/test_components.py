@@ -1,9 +1,8 @@
-"""Connected components: distributed min-label propagation must equal
-driver DSU; Jaccard verification stage; bucket stats."""
+"""Connected components: the distributed path must equal the driver
+DSU; bucket stats; bucket-cap stars."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def _random_edges(n_nodes=300, n_edges=500, seed=11):
@@ -32,31 +31,6 @@ def test_distributed_components_equal_dsu(ray_session):
     want_df = want.to_pandas().sort_values("image_id").reset_index(drop=True)
     assert got["image_id"].tolist() == want_df["image_id"].tolist()
     assert got["cluster_id"].tolist() == want_df["cluster_id"].tolist()
-
-
-def test_verify_pairs_filters_by_jaccard(ray_session):
-    import ray.data as rd
-
-    from raydedup.hashing import generate_permutations
-    from raydedup.minhash import jaccard_estimate, minhash_batch
-    from raydedup.schema import numpy_to_sig
-    from raydedup.stages.verify import verify_pairs
-
-    a, b = generate_permutations(128, 1)
-    base = [f"t{i}".encode() for i in range(40)]
-    docs = [base, base[:35] + [b"x%d" % i for i in range(5)], [b"z%d" % i for i in range(40)]]
-    sig = minhash_batch(docs, a, b)
-    sig_t = pa.table(
-        {"image_id": pa.array(["a", "b", "c"]), "minhash": numpy_to_sig(sig)}
-    )
-    pairs_t = pa.table({"id_a": pa.array(["a", "a"]), "id_b": pa.array(["b", "c"])})
-    out = verify_pairs(
-        rd.from_arrow(pairs_t), rd.from_arrow(sig_t), "image_id", threshold=0.5, num_partitions=2
-    ).take_all()
-    kept = {(r["id_a"], r["id_b"]) for r in out}
-    assert ("a", "b") in kept and ("a", "c") not in kept
-    (ab,) = [r for r in out if r["id_b"] == "b"]
-    assert ab["jaccard"] == pytest.approx(float(jaccard_estimate(sig[0], sig[1])))
 
 
 def test_bucket_stats(ray_session):
@@ -141,6 +115,7 @@ def test_bucket_cap_star_is_component_equivalent(ray_session):
     from raydedup.schema import numpy_to_sig
     from raydedup.stages.bands import fused_candidate_pairs
     from raydedup.stages.components import components_driver
+    from raydedup.stages.grouped import unique_rows_partitioned
 
     m = 60
     rng = np.random.default_rng(0)
@@ -154,8 +129,12 @@ def test_bucket_cap_star_is_component_equivalent(ray_session):
     b, r = optimal_param(0.8, 128)
 
     def pairs(cap):
-        return fused_candidate_pairs(
-            rd.from_arrow(table), "image_id", b, r, bucket_cap=cap, num_partitions=2, dedupe=True
+        return unique_rows_partitioned(
+            fused_candidate_pairs(
+                rd.from_arrow(table), "image_id", b, r, bucket_cap=cap, num_partitions=2
+            ),
+            ["id_a", "id_b"],
+            2,
         )
 
     full, star = pairs(512), pairs(8)

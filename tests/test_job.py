@@ -23,10 +23,13 @@ def input_parquet(tmp_path_factory):
     return path, truth
 
 
-def test_job_entrypoint_writes_clusters(ray_session, input_parquet, tmp_path):
+@pytest.mark.parametrize("extra", [[], ["--no-simhash"]], ids=["default", "no-simhash"])
+def test_job_entrypoint_writes_clusters(ray_session, input_parquet, tmp_path, extra):
     path, truth = input_parquet
     out = str(tmp_path / "out")
-    summary = job.main(["--input", path, "--output", out, "--write-pairs"])
+    summary = job.main(["--input", path, "--output", out, "--write-pairs", *extra])
+    # --no-simhash turns SimHash off by dropping the phash column
+    assert json.loads(summary["config_fingerprint"])["phash_col"] == (None if extra else "phash")
 
     assert summary["clustered_rows"] > 0
     assert summary["pair_rows"] > 0

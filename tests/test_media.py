@@ -174,7 +174,7 @@ def test_decode_invariant_stage(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from raydedup.stages.verify import DecodeInvariantStage
+    from raydedup.stages.media import DecodeInvariantStage
     from raydedup.synth import _pixels, _pixels_smooth, make_images_table
 
     table, _ = make_images_table(n_base=40, seed=42)
