@@ -165,7 +165,11 @@ def test_hamming_band_pigeonhole():
     assert (v1 == v2).any()
 
 
-def test_lsh_micro_anchor(reference_datasketch):
+# FIXTURES F2 micro corpus (reference test_lsh.py:109-125).
+_MICRO_SETS = [[b"a", b"b", b"c"], [b"a", b"b", b"d"], [b"x", b"y", b"z"]]
+
+
+def test_lsh_micro_anchor():
     """FIXTURES F2 anchor (reference test_lsh.py:109-125): at
     threshold 0.5 / 32 perms over [a,b,c]/[a,b,d]/[x,y,z], querying set 0
     must return candidates {0, 1} — reproduced by our band-bucket fold."""
@@ -174,14 +178,19 @@ def test_lsh_micro_anchor(reference_datasketch):
     from raydedup.minhash import minhash_batch
     from raydedup.hashing import generate_permutations
 
-    sets = [[b"a", b"b", b"c"], [b"a", b"b", b"d"], [b"x", b"y", b"z"]]
+    sets = _MICRO_SETS
     a, bp = generate_permutations(32, 1)
     sig = minhash_batch(sets, a, bp)
     b_, r_ = optimal_param(0.5, 32)
     buckets = fold_band_buckets(sig, b_, r_).reshape(3, b_)
     cands = {j for j in range(3) if j != 0 and (buckets[0] == buckets[j]).any()}
     assert cands | {0} == {0, 1}
-    # cross-check against the live reference
+
+
+def test_lsh_micro_anchor_reference(reference_datasketch):
+    """The live reference's own query on the F2 micro corpus returns the
+    {0, 1} that ``test_lsh_micro_anchor`` pins for our fold."""
+    sets = _MICRO_SETS
     lsh = reference_datasketch.MinHashLSH(threshold=0.5, num_perm=32)
     ms = []
     for i, s in enumerate(sets):
@@ -319,39 +328,50 @@ def test_allpairs_kernel_property_random_thresholds():
             assert got == want, (trial, mode, threshold, got ^ want)
 
 
-def test_signature_stage_flat_equals_rows_path(reference_datasketch):
-    """r05 (VERDICT r04 next-#1): the vectorized word-shingle path
-    (Arrow split/take/join + unique-only SHA1) must produce signatures
-    identical to the per-row shingler path AND to the live reference at
-    the same config — including nulls, empties, sub-n docs, unicode,
-    and within-batch duplicates (which now permute once)."""
+_SIG_STAGE_DOCS = (
+    ["", None, "one two", "one two three", "a b c d e f", "的 一 是 了 我"]
+    + ["Hello World hello WORLD x", "  padded   whitespace  doc  "]
+    + [f"doc {i % 7} body text token{i % 11} tail words here" for i in range(40)]
+)
+
+
+def _signature_stage(hashfunc, force_rows=False):
+    """word3 signatures of ``_SIG_STAGE_DOCS``; ``force_rows`` disables
+    the flat word-shingle path so the per-row shingler runs."""
     import pyarrow as pa
 
-    from raydedup.hashing import word_ngram_shingles
     from raydedup.schema import sig_to_numpy
     from raydedup.stages.signatures import SignatureStage
 
-    docs = (
-        ["", None, "one two", "one two three", "a b c d e f", "的 一 是 了 我"]
-        + ["Hello World hello WORLD x", "  padded   whitespace  doc  "]
-        + [f"doc {i % 7} body text token{i % 11} tail words here" for i in range(40)]
+    batch = pa.table({"caption": pa.array(_SIG_STAGE_DOCS, pa.string())})
+    st = SignatureStage(
+        num_perm=128, seed=1, shingle="word3", text_col="caption",
+        phash_col=None, hashfunc=hashfunc,
     )
-    batch = pa.table({"caption": pa.array(docs, pa.string())})
+    if force_rows:
+        st.word_n = None
+    return sig_to_numpy(st(batch).column("minhash"), 128)
 
-    def stage(hashfunc, force_rows=False):
-        st = SignatureStage(
-            num_perm=128, seed=1, shingle="word3", text_col="caption",
-            phash_col=None, hashfunc=hashfunc,
-        )
-        if force_rows:
-            st.word_n = None
-        return sig_to_numpy(st(batch).column("minhash"), 128)
 
+def test_signature_stage_flat_equals_rows_path():
+    """r05 (VERDICT r04 next-#1): the vectorized word-shingle path
+    (Arrow split/take/join + unique-only SHA1) must produce signatures
+    identical to the per-row shingler path — including nulls, empties,
+    sub-n docs, unicode, and within-batch duplicates (which now permute
+    once). ``test_signature_stage_matches_reference`` checks the same
+    signatures against the live reference."""
+    stage = _signature_stage
     for hf in ("sha1", "md5"):
         assert np.array_equal(stage(hf), stage(hf, force_rows=True)), hf
 
-    # and against the live reference on the sha1 contract
-    sigs = stage("sha1")
+
+def test_signature_stage_matches_reference(reference_datasketch):
+    """The flat word-shingle signatures equal the live reference's
+    ``MinHash`` at the same config, on the sha1 contract."""
+    from raydedup.hashing import word_ngram_shingles
+
+    docs = _SIG_STAGE_DOCS
+    sigs = _signature_stage("sha1")
     for i, d in enumerate(docs):
         m = reference_datasketch.MinHash(num_perm=128, seed=1)
         for t in sorted(word_ngram_shingles(d or "", 3)):

@@ -1,7 +1,11 @@
-"""Online MinHashLshSession conformance vs the live reference
-``MinHashLSH`` (interleaved insert/query/remove — the reference's
-``test/test_lsh.py`` semantics, exercised against the sharded-actor
-implementation)."""
+"""Online MinHashLshSession: the sharded-actor implementation of the
+reference ``MinHashLSH`` (interleaved insert/query/remove — the
+reference's ``test/test_lsh.py`` semantics).
+
+Two tests compare against the live reference library and skip without
+its checkout: ``test_interleaved_insert_query_matches_reference`` and
+``test_weighted_minhash_session_matches_reference``. The rest check the
+session on raydedup's own signatures."""
 
 import numpy as np
 import pytest
@@ -37,16 +41,15 @@ def _ref_lsh_and_minhashes(reference_datasketch, token_sets, threshold, num_perm
 
 
 @pytest.fixture(scope="module")
-def corpus(reference_datasketch):
+def corpus():
     rng = np.random.default_rng(7)
     token_sets = _sets(rng, 60)
-    sigs = _sigs(token_sets)
-    lsh, ms = _ref_lsh_and_minhashes(reference_datasketch, token_sets, 0.5)
-    return token_sets, sigs, lsh, ms
+    return token_sets, _sigs(token_sets)
 
 
-def test_interleaved_insert_query_matches_reference(ray_session, corpus):
-    token_sets, sigs, ref_lsh, ms = corpus
+def test_interleaved_insert_query_matches_reference(ray_session, corpus, reference_datasketch):
+    token_sets, sigs = corpus
+    ref_lsh, ms = _ref_lsh_and_minhashes(reference_datasketch, token_sets, 0.5)
     sess = MinHashLshSession(threshold=0.5, num_perm=128, num_shards=4)
     assert sess.b == ref_lsh.b and sess.r == ref_lsh.r
     try:
@@ -68,7 +71,7 @@ def test_interleaved_insert_query_matches_reference(ray_session, corpus):
 
 
 def test_duplicate_and_missing_keys_raise(ray_session, corpus):
-    _, sigs, _, _ = corpus
+    _, sigs = corpus
     sess = MinHashLshSession(threshold=0.5, num_perm=128, num_shards=2)
     try:
         sess.insert("a", sigs[0])
@@ -85,7 +88,7 @@ def test_duplicate_and_missing_keys_raise(ray_session, corpus):
 
 
 def test_remove_then_query(ray_session, corpus):
-    token_sets, sigs, _, _ = corpus
+    token_sets, sigs = corpus
     sess = MinHashLshSession(threshold=0.5, num_perm=128, num_shards=3)
     try:
         sess.insert_batch(list(range(20)), sigs[:20])
@@ -105,7 +108,7 @@ def test_remove_then_query(ray_session, corpus):
 
 
 def test_insertion_session_and_counts(ray_session, corpus):
-    token_sets, sigs, ref_lsh, ms = corpus
+    token_sets, sigs = corpus
     sess = MinHashLshSession(threshold=0.5, num_perm=128, num_shards=4)
     try:
         with sess.insertion_session(buffer_size=7) as ins:
@@ -126,7 +129,7 @@ def test_insertion_session_and_counts(ray_session, corpus):
 
 
 def test_merge_sessions(ray_session, corpus):
-    _, sigs, _, _ = corpus
+    _, sigs = corpus
     a = MinHashLshSession(threshold=0.5, num_perm=128, num_shards=2)
     b = MinHashLshSession(threshold=0.5, num_perm=128, num_shards=3)
     try:
@@ -288,7 +291,7 @@ def test_async_session_parity_and_concurrency(ray_session, corpus):
 
     from raydedup.aio import AsyncMinHashLshSession
 
-    token_sets, sigs, _, _ = corpus
+    token_sets, sigs = corpus
     sync = MinHashLshSession(threshold=0.5, num_perm=128, num_shards=2)
     sync.insert_batch([f"k{i}" for i in range(len(sigs))], sigs)
 

@@ -238,47 +238,65 @@ def test_hllpp_aggregate_distributed(ray_session):
     assert got == pytest.approx(sk.count(), rel=1e-12)
 
 
-def test_optimal_partitions_exhaustively_optimal(reference_datasketch):
+def _nfp_total(parts, sizes, counts):
+    """Expected false positives of a size partition (the DP objective)."""
+    tot = 0.0
+    for lo, up in parts:
+        m = (sizes >= lo) & (sizes <= up)
+        tot += float(np.sum((up - sizes[m]) / up * counts[m]))
+    return tot
+
+
+def _partition_cases():
+    """Seeded random size histograms and partition counts, as
+    ``(sizes, counts, npart)``."""
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        sizes = np.unique(rng.integers(1, 100, size=int(rng.integers(5, 12))))
+        counts = rng.integers(1, 50, size=len(sizes))
+        for npart in (2, 3, 4):
+            if npart >= len(sizes):
+                continue
+            yield sizes, counts, npart
+
+
+def test_optimal_partitions_exhaustively_optimal():
     """Our size-partition DP must hit the exhaustive optimum of the
-    expected-false-positive objective; the reference's DP backtrack can
-    return suboptimal splits (observed on random histograms), so we
-    assert ours is never WORSE than the reference's choice."""
+    expected-false-positive objective. The reference's DP backtrack can
+    return suboptimal splits (observed on random histograms);
+    ``test_optimal_partitions_not_worse_than_reference`` asserts ours is
+    never WORSE than the reference's choice."""
     import itertools
 
+    from raydedup.stages.topk import optimal_partitions as our_parts
+
+    for sizes, counts, npart in _partition_cases():
+        S = len(sizes)
+        best = min(
+            sum(
+                _nfp_total([(sizes[b[i] + 1] if i else sizes[0], sizes[b[i + 1]])], sizes, counts)
+                for i in range(npart)
+            )
+            for b in (
+                [-1] + list(c) + [S - 1]
+                for c in itertools.combinations(range(S - 1), npart - 1)
+            )
+        )
+        ours = _nfp_total(our_parts(sizes, counts, npart), sizes, counts)
+        assert ours == pytest.approx(best, abs=1e-9)
+
+
+def test_optimal_partitions_not_worse_than_reference(reference_datasketch):
+    """Our DP's expected false positives never exceed those of the
+    reference's ``optimal_partitions`` on the same histograms."""
     from datasketch.lshensemble_partition import optimal_partitions as ref_parts
 
     from raydedup.stages.topk import optimal_partitions as our_parts
 
-    rng = np.random.default_rng(7)
-
-    def nfp_total(parts, sizes, counts):
-        tot = 0.0
-        for lo, up in parts:
-            m = (sizes >= lo) & (sizes <= up)
-            tot += float(np.sum((up - sizes[m]) / up * counts[m]))
-        return tot
-
-    for _ in range(6):
-        sizes = np.unique(rng.integers(1, 100, size=int(rng.integers(5, 12))))
-        counts = rng.integers(1, 50, size=len(sizes))
-        S = len(sizes)
-        for npart in (2, 3, 4):
-            if npart >= S:
-                continue
-            best = min(
-                sum(
-                    nfp_total([(sizes[b[i] + 1] if i else sizes[0], sizes[b[i + 1]])], sizes, counts)
-                    for i in range(npart)
-                )
-                for b in (
-                    [-1] + list(c) + [S - 1]
-                    for c in itertools.combinations(range(S - 1), npart - 1)
-                )
-            )
-            ours = nfp_total(our_parts(sizes, counts, npart), sizes, counts)
-            ref = nfp_total(ref_parts(sizes, counts, npart), sizes, counts)
-            assert ours == pytest.approx(best, abs=1e-9)
-            assert ours <= ref + 1e-9
+    for sizes, counts, npart in _partition_cases():
+        ours = _nfp_total(our_parts(sizes, counts, npart), sizes, counts)
+        ref = _nfp_total(ref_parts(sizes, counts, npart), sizes, counts)
+        assert ours <= ref + 1e-9
 
 
 def test_ensemble_containment_recall(ray_session):
