@@ -225,7 +225,8 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
     # aux, mode) table and ONE shuffle (stages/bands.fused_candidate_pairs)
     # — per-branch shuffles tripled the fixed execution cost and starved
     # scaling at small corpus sizes. Substring dedup stays its own
-    # (checkpointable) execution: it must carry caption text. All
+    # (checkpointable) stage: a broadcast of every caption's anchor,
+    # verified in the map that reads each caption's text (no shuffle). All
     # branches read the materialized signature table — never the raw
     # input lineage, which would re-execute the read per branch and can
     # wedge the streaming scheduler behind a blocking repartition.
@@ -252,7 +253,6 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
             cfg.id_col,
             cfg.text_col,
             window=cfg.substring_window,
-            num_partitions=npart,
         )
 
     pair_sets = [ck.run(name, build) for name, build in branches.items()]

@@ -239,9 +239,9 @@ def q_token_rarity_docs(sf_dir: str):
     pre-aggregation pattern); pass 2 broadcasts it once via ``ray.put``
     and gathers per-doc ``sum`` of token corpus-frequencies with one
     ``index_in`` + ``reduceat`` per batch. Integer outputs → exact
-    oracle. At 100 TB the exact vocab table is replaced by top-K exact
-    + count-min tail (``raydedup.cms``) behind the same broadcast; the
-    size guard below marks the switch point."""
+    oracle. The exact vocab table is the only path: above 5M distinct
+    tokens the query raises ``NotImplementedError`` rather than
+    broadcast it."""
     import ray
 
     def explode_counts(batch: pa.Table) -> pa.Table:
@@ -257,7 +257,7 @@ def q_token_rarity_docs(sf_dir: str):
         .sum("n_part")
         .materialize()  # vocab blocks stay in the object store; ONE execution
     )
-    if freq_ds.count() > 5_000_000:  # broadcast guard: switch to top-K + CMS
+    if freq_ds.count() > 5_000_000:  # broadcast guard
         raise NotImplementedError(
             "vocabulary exceeds the exact-broadcast budget; wire the "
             "count-min tail (raydedup.cms) here for open-vocab corpora"

@@ -2,8 +2,9 @@
 
 - exact dedup: content-hash groupby, keep min-id row (also the
   pre-collapse pass that defuses LSH bucket skew — SURVEY.md §4.2)
-- substring dedup: window-anchor groupby + rolling-hash containment
-  verify (raydedup.suffix kernels)
+- substring dedup: a broadcast table of min-window query anchors, probed
+  and hash-verified by each container doc's own map task
+  (raydedup.suffix kernels)
 - the MinHash/SimHash near-dup paths live in stages/bands.py and are
   composed by pipeline.py; this module adds the n-gram-Jaccard
   brute-verify and embedding-cosine near-dup operators used by the
@@ -98,497 +99,202 @@ def exact_dedup(ds, key_cols: list[str], id_col: str, keep_payload: bool = True,
 
 
 # ------------------------------------------------------------ substring dedup
-def substring_pairs(ds, id_col: str, text_col: str, window: int = 4, num_partitions: int | None = None):
-    """(contained_id → id_a, container_id → id_b) pairs where one
-    caption is a strict token-slice of another.
+def _fold_windows(hv: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
+    """FNV fold of ``w`` consecutive token hashes at each flat start."""
+    from raydedup.suffix import _W_FNV_OFFSET, _W_FNV_PRIME
 
-    Scale shape (round-2 redesign — the round-1 version shipped the full
-    text once per token window, O(len²) bytes/doc through the shuffle):
+    anc = np.full(len(starts), _W_FNV_OFFSET, dtype=np.uint64)
+    for j in range(w):
+        anc ^= hv[starts + j]
+        anc *= _W_FNV_PRIME
+    return anc
 
-    1. *explode* (slim): every doc emits one ~40-byte **query** row —
-       anchor = the MIN window-hash over its token windows (min, not
-       leading, so templated prefixes don't flood one anchor), plus
-       (offset of that window, token count, whole-doc polynomial hash,
-       char count) — and one ~25-byte **container** row per window
-       (anchor, position). No text transits.
-    2. *anchor shuffle*: per anchor run, queries are grouped into
-       whole-doc-hash equivalence classes. Containers belonging to the
-       query's own class are EXCLUDED up front (identical text can
-       never *strictly* contain — this is what defuses the m² exact-
-       duplicate flood), then each class member × external container
-       row becomes a slim candidate (member, cid, start = pos-offset).
-    3. *verify shuffle* (keyed by container id): candidates union the
-       docs table, each text travels ONCE; a prefix-sum polynomial hash
-       checks tokens[start : start+qlen] == query hash in O(1) per
-       candidate, plus the strict char-length condition. Each (query,
-       container) class lives in exactly one anchor run, so verified
-       pairs are already globally unique — no final dedupe shuffle.
 
-    Docs shorter than ``window`` tokens ride the SAME machinery (r04,
-    VERDICT r03 wrong-#2 — the old path broadcast every short doc and
-    ran an O(shorts × docs) Python scan on the driver): one slim
-    pre-pass finds the distinct short token-counts present (≤ window-1
-    values), then ``explode`` emits each short doc as a query row whose
-    anchor is the fold of its WHOLE token list, and every doc emits
-    container windows at exactly those short lengths. Anchor shuffle,
-    candidate emission and hash verify are unchanged and fully
-    distributed; with no short docs the only cost is the pre-pass
-    column scan (at warehouse scale, feed that from token-count stats
-    instead).
+def _token_windows(lens: np.ndarray, w: int):
+    """Every ``w``-token window of the docs that hold one: returns
+    ``(doc row per window, window position in its doc, first window of
+    each such doc, windows per such doc)``."""
+    rows = np.flatnonzero(lens >= w)
+    nwin = lens[rows] - w + 1
+    seg = np.cumsum(nwin) - nwin
+    pos = np.arange(int(nwin.sum()), dtype=np.int64) - np.repeat(seg, nwin)
+    return np.repeat(rows, nwin), pos, seg, nwin
 
-    Up to ``SMALL_SHUFFLE_ROWS`` docs the explode runs as one staged
-    block, so both shuffles can coalesce; above it, the explode streams
-    into the anchor shuffle."""
-    from raydedup.stages.grouped import auto_partitions, map_key_runs, meta_count, staged
-    from raydedup.suffix import (
-        _W_FNV_OFFSET,
-        _W_FNV_PRIME,
-        flat_token_hashes64,
-        poly_powers,
-        split_ws_tokens,
-    )
 
-    id_type = ds.schema().base_schema.field(id_col).type
-    if num_partitions is None:
-        num_partitions = auto_partitions(ds)
+def _substring_tokens(batch: pa.Table, text_col: str):
+    """Tokenize a batch once (``str.split()`` parity, Arrow kernels, one
+    flat hash call): per-doc token counts, flat token hashes, doc
+    offsets, polynomial prefix sums with their powers, whole-doc hashes
+    and char counts. Null and empty texts count 0 tokens."""
+    from raydedup.suffix import flat_token_hashes64, poly_powers, poly_prefix_sums, split_ws_tokens
 
-    from raydedup.stages import grouped as _G
+    tcol = batch.column(text_col)
+    if isinstance(tcol, pa.ChunkedArray):
+        tcol = tcol.combine_chunks()
+    lens, flat = split_ws_tokens(tcol)
+    hv = flat_token_hashes64(flat)
+    off = np.cumsum(lens) - lens
+    bpow, binv = poly_powers(len(hv))
+    S = poly_prefix_sums(hv, binv)
+    # H(i, j) = (S[j] - S[i]) · B^(j-1): the hash of tokens [i, j) with
+    # the last token at B^0, whatever the offset (uint64 wraparound)
+    end = off + lens
+    dhash = (S[end] - S[off]) * bpow[np.maximum(end - 1, 0)]
+    chars = pc.fill_null(pc.utf8_length(tcol), 0).to_numpy(zero_copy_only=False).astype(np.int64)
+    return lens, hv, off, S, bpow, dhash, chars
 
-    n_docs = meta_count(ds)
-    small_corpus = bool(
-        _G.SMALL_SHUFFLE_ROWS and n_docs is not None and 0 < n_docs <= _G.SMALL_SHUFFLE_ROWS
-    )
 
-    # ---- pre-pass: which short token-counts exist? (≤ window-1 distinct
-    # values; ≤ that many rows per block reach the driver). A
-    # metadata-provably-small corpus skips this execution entirely:
-    # its explode below runs over ONE coalesced block, so the short
-    # lengths are computed exactly in-task (short_lens=None sentinel).
-    if small_corpus:
-        short_lens = None
-    else:
-
-        def short_lens_batch(t: pa.Table) -> pa.Table:
-            c = pc.count_substring_regex(pc.fill_null(t.column(text_col), ""), r"\S+")
-            arr = c.to_numpy(zero_copy_only=False)
-            u = np.unique(arr[(arr >= 1) & (arr < window)])
-            return pa.table({"L": pa.array(u.astype(np.int32))})
-
-        short_lens = sorted(
-            {
-                r["L"]
-                for r in ds.select_columns([text_col])
-                .map_batches(short_lens_batch, batch_format="pyarrow")
-                .take_all()
-            }
-        )
-
-    empty_exploded = pa.table(
+def substring_query_rows(batch: pa.Table, id_col: str, text_col: str, window: int) -> pa.Table:
+    """One query row per non-empty doc: ``anchor`` is the minimum FNV
+    fold over its ``window``-token windows (min, not leading, so
+    templated prefixes don't flood one anchor) and ``qoff`` that
+    window's first position; a doc shorter than ``window`` is anchored
+    on the fold of its whole token list at ``qoff`` 0. ``qlen``,
+    ``qhash`` and ``qchars`` are its token count, whole-doc polynomial
+    hash and char count."""
+    lens, hv, off, _, _, dhash, chars = _substring_tokens(batch, text_col)
+    anchor = np.zeros(len(lens), np.uint64)
+    qoff = np.zeros(len(lens), np.int64)
+    for L in range(1, window):
+        sq = np.flatnonzero(lens == L)
+        anchor[sq] = _fold_windows(hv, off[sq], L)
+    crow, pos, seg, nwin = _token_windows(lens, window)
+    if len(crow):
+        anc = _fold_windows(hv, off[crow] + pos, window)
+        mins = np.minimum.reduceat(anc, seg)
+        # the first window of each doc that holds its minimum
+        at_min = np.flatnonzero(anc == np.repeat(mins, nwin))
+        first = at_min[np.unique(crow[at_min], return_index=True)[1]]
+        anchor[crow[first]] = mins
+        qoff[crow[first]] = pos[first]
+    live = np.flatnonzero(lens >= 1)
+    return pa.table(
         {
-            "anchor": pa.array([], pa.uint64()),
-            "role": pa.array([], pa.int8()),
-            id_col: pa.array([], id_type),
-            "pos": pa.array([], pa.int32()),
-            "qlen": pa.array([], pa.int32()),
-            "qhash": pa.array([], pa.uint64()),
-            "qchars": pa.array([], pa.int32()),
+            id_col: batch.column(id_col).take(pa.array(live)),
+            "anchor": pa.array(anchor[live]),
+            "qoff": pa.array(qoff[live].astype(np.int32)),
+            "qlen": pa.array(lens[live].astype(np.int32)),
+            "qhash": pa.array(dhash[live]),
+            "qchars": pa.array(chars[live].astype(np.int32)),
         }
     )
 
-    def _fold_windows(hv: np.ndarray, starts_flat: np.ndarray, w: int) -> np.ndarray:
-        """FNV fold of ``w`` consecutive token hashes at each flat start."""
-        anc = np.full(len(starts_flat), _W_FNV_OFFSET, dtype=np.uint64)
-        for j in range(w):
-            anc ^= hv[starts_flat + j]
-            anc *= _W_FNV_PRIME
-        return anc
 
-    def explode(batch: pa.Table) -> pa.Table:
-        """Fully vectorized: tokenize with Arrow whitespace-split
-        kernels (``split_ws_tokens`` — str.split parity, no Python
-        lists), then ONE flat hash call for every token in the batch;
-        window-anchor FNV folds, per-doc min-anchor selection and the
-        whole-doc polynomial hash are all segment ops on the flat
-        array. Short docs (1 ≤ tokens < window) become query rows whose
-        anchor folds their WHOLE token list; every doc additionally
-        emits container windows at each short length present in the
-        corpus (``short_lens``, broadcast via closure)."""
-        idc = batch.column(id_col)
-        if isinstance(idc, pa.ChunkedArray):
-            idc = idc.combine_chunks()
-        tlc = batch.column(text_col)
-        lens, flat = split_ws_tokens(tlc)
-        # short_lens=None ⇒ small-corpus mode: this batch IS the whole
-        # corpus (one coalesced block), so the short lengths present
-        # are computed exactly here instead of in a pre-pass execution
-        sl = (
-            short_lens
-            if short_lens is not None
-            else np.unique(lens[(lens >= 1) & (lens < window)]).tolist()
-        )
-        alive = np.flatnonzero(lens >= 1)
-        if len(alive) == 0:
-            return empty_exploded
-        al = lens[alive].astype(np.int64)
-        hv_all = flat_token_hashes64(flat)
-        off_all = np.concatenate(([0], np.cumsum(lens)[:-1])).astype(np.int64)
-        # whole-doc polynomial hash + char count for every non-empty doc
-        bpow, _ = poly_powers(int(al.max()))
-        expo = np.repeat(off_all[alive] + al - 1, al) - np.arange(
-            len(hv_all), dtype=np.int64
-        )
-        qhash_alive = np.atleast_1d(np.add.reduceat(hv_all * bpow[expo], off_all[alive]))
-        qchars_all = (
-            pc.fill_null(
-                pc.utf8_length(
-                    tlc if not isinstance(tlc, pa.ChunkedArray) else tlc.combine_chunks()
-                ),
-                0,
-            )
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
+def substring_query_classes(queries: pa.Table, id_col: str, window: int) -> dict:
+    """Sort the query rows by ``(anchor, qhash, qchars)`` and collapse
+    rows with identical text into one class: per-class ``anchor``
+    (ascending), ``qoff``, ``qlen``, ``qhash`` and ``qchars`` arrays, the
+    member ids ``ids[mstart[j]:mstart[j + 1]]``, and the distinct short
+    query lengths (``< window``) the containers must also fold."""
+    q = queries.sort_by([("anchor", "ascending"), ("qhash", "ascending"), ("qchars", "ascending")])
+    cols = {c: q.column(c).to_numpy() for c in ("anchor", "qoff", "qlen", "qhash", "qchars")}
+    a, h, c = cols["anchor"], cols["qhash"], cols["qchars"]
+    new = np.ones(len(q), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (h[1:] != h[:-1]) | (c[1:] != c[:-1])
+    first = np.flatnonzero(new)
+    classes = {k: v[first] for k, v in cols.items()}
+    classes["mstart"] = np.append(first, len(q))
+    classes["ids"] = q.column(id_col).combine_chunks()
+    ql = classes["qlen"]
+    classes["short_lens"] = np.unique(ql[ql < window]).tolist()
+    return classes
 
-        out_anchor, out_role, out_idx, out_pos, out_qlen, out_qhash, out_qchars = (
-            [], [], [], [], [], [], [],
-        )
 
-        def emit_windows(doc_rows: np.ndarray, w: int):
-            """Container rows: every w-window of each doc in doc_rows.
-            Returns (anchors, flat doc row index, window pos)."""
-            dl = lens[doc_rows].astype(np.int64)
-            nwin = dl - w + 1
-            totw = int(nwin.sum())
-            seg = np.concatenate(([0], np.cumsum(nwin)[:-1]))
-            wstart = (
-                np.arange(totw, dtype=np.int64)
-                - np.repeat(seg, nwin)
-                + np.repeat(off_all[doc_rows], nwin)
-            )
-            anc = _fold_windows(hv_all, wstart, w)
-            winpos = (np.arange(totw, dtype=np.int64) - np.repeat(seg, nwin)).astype(np.int32)
-            return anc, np.repeat(doc_rows, nwin), winpos, seg, nwin
-
-        # ---- main path: docs with ≥ window tokens
-        keep = np.flatnonzero(lens >= window)
-        if len(keep):
-            anc, crows, winpos, seg, nwin = emit_windows(keep, window)
-            # per-doc min anchor + its first position (the query row)
-            mins = np.minimum.reduceat(anc, seg)
-            eq = np.flatnonzero(anc == np.repeat(mins, nwin))
-            seg_of = np.searchsorted(seg, eq, side="right") - 1
-            first = eq[np.unique(seg_of, return_index=True)[1]]
-            qoff = (first - seg).astype(np.int32)
-            pos_in_alive = np.searchsorted(alive, keep)
-            kq = qhash_alive[pos_in_alive]
-            out_anchor += [mins, anc]
-            out_role += [np.zeros(len(keep), np.int8), np.ones(len(anc), np.int8)]
-            out_idx += [keep, crows]
-            out_pos += [qoff, winpos]
-            out_qlen += [lens[keep].astype(np.int32), np.zeros(len(anc), np.int32)]
-            out_qhash += [kq, kq[np.searchsorted(keep, crows)]]
-            out_qchars += [
-                qchars_all[keep].astype(np.int32),
-                np.zeros(len(anc), np.int32),
-            ]
-
-        # ---- short-doc path: one query row per short doc (anchor =
-        # fold of its whole token list) + container windows at each
-        # short length over every doc long enough to hold one
-        for L in sl:
-            sq = np.flatnonzero(lens == L)
-            if len(sq):
-                anc_q = _fold_windows(hv_all, off_all[sq], L)
-                out_anchor.append(anc_q)
-                out_role.append(np.zeros(len(sq), np.int8))
-                out_idx.append(sq)
-                out_pos.append(np.zeros(len(sq), np.int32))
-                out_qlen.append(np.full(len(sq), L, np.int32))
-                out_qhash.append(qhash_alive[np.searchsorted(alive, sq)])
-                out_qchars.append(qchars_all[sq].astype(np.int32))
-            elig = np.flatnonzero(lens >= L)
-            if len(elig):
-                anc_c, crows, winpos, _, _ = emit_windows(elig, L)
-                out_anchor.append(anc_c)
-                out_role.append(np.ones(len(anc_c), np.int8))
-                out_idx.append(crows)
-                out_pos.append(winpos)
-                out_qlen.append(np.zeros(len(anc_c), np.int32))
-                out_qhash.append(
-                    qhash_alive[np.searchsorted(alive, elig)][
-                        np.searchsorted(elig, crows)
-                    ]
-                )
-                out_qchars.append(np.zeros(len(anc_c), np.int32))
-
-        if not out_anchor:
-            return empty_exploded
-        return pa.table(
-            {
-                "anchor": pa.array(np.concatenate(out_anchor)),
-                "role": pa.array(np.concatenate(out_role)),
-                id_col: idc.take(pa.array(np.concatenate(out_idx))),
-                "pos": pa.array(np.concatenate(out_pos)),
-                "qlen": pa.array(np.concatenate(out_qlen)),
-                "qhash": pa.array(np.concatenate(out_qhash)),
-                "qchars": pa.array(np.concatenate(out_qchars)),
-            }
-        )
-
-    if small_corpus:
-        # one coalesced block: explode computes short_lens in-task (no
-        # pre-pass execution), and staging makes the explode's row count
-        # metadata-visible, so the anchor shuffle below can take the
-        # coalesced small path too (the aggregator machinery would
-        # otherwise cost ~1.9 s on a few thousand anchor rows)
-        exploded = staged(
-            ds.select_columns([id_col, text_col])
-            .repartition(1)
-            .map_batches(explode, batch_size=None, batch_format="pyarrow")
-        )
-    else:
-        exploded = ds.select_columns([id_col, text_col]).map_batches(
-            explode, batch_format="pyarrow"
-        )
-
-    def emit_candidates(block: pa.Table, starts, ends) -> pa.Table:
-        roles = block.column("role").to_numpy(zero_copy_only=False)
-        ids = block.column(id_col).to_numpy(zero_copy_only=False)
-        pos = block.column("pos").to_numpy(zero_copy_only=False)
-        qlen = block.column("qlen").to_numpy(zero_copy_only=False)
-        qhash = block.column("qhash").to_numpy(zero_copy_only=False)
-        qchars = block.column("qchars").to_numpy(zero_copy_only=False)
-        o_key, o_qid, o_start, o_qlen, o_qhash, o_qchars = [], [], [], [], [], []
-        # vectorized run prefilter: a run yields candidates only when it
-        # holds ≥1 query row AND ≥1 container row. Most runs are
-        # container-only (a doc's min window is 1 of its ~L windows), so
-        # this drops the vast majority before the per-run Python loop.
-        if len(starts):
-            q_cum = np.concatenate(([0], np.cumsum(roles == 0)))
-            nq = q_cum[ends] - q_cum[starts]
-            both = (nq > 0) & (nq < (ends - starts))
-            starts, ends = starts[both], ends[both]
-        small_k, small_q, small_st, small_ql, small_qh, small_qc = [], [], [], [], [], []
-        for s, e in zip(starts, ends):
-            if e - s <= 16:
-                # fast path: tiny runs dominate (dup pairs sharing one
-                # window); plain-Python beats six np.unique calls ~10×
-                qrows = [k for k in range(s, e) if roles[k] == 0]
-                crows = [k for k in range(s, e) if roles[k] != 0]
-                for kq in qrows:
-                    qh_u = qhash[kq]
-                    qoff = pos[kq]
-                    for kc in crows:
-                        if qhash[kc] == qh_u:
-                            continue
-                        st = pos[kc] - qoff
-                        if st < 0 or ids[kc] == ids[kq]:
-                            continue
-                        small_k.append(ids[kc])
-                        small_q.append(ids[kq])
-                        small_st.append(st)
-                        small_ql.append(qlen[kq])
-                        small_qh.append(qh_u)
-                        small_qc.append(qchars[kq])
-                continue
-            rr = roles[s:e]
-            qm = rr == 0
-            cm = ~qm
-            run_ids = ids[s:e]
-            # container classes by whole-doc hash: an exact-duplicate
-            # flood (m identical docs) collapses to ONE class with m
-            # members and a small distinct-position list, so the
-            # class × class loop below is per-distinct-TEXT, never
-            # per-row — the m² flood cost disappears on both sides
-            c_ids = run_ids[cm]
-            c_pos = pos[s:e][cm]
-            c_hash = qhash[s:e][cm]
-            uc, c_inv = np.unique(c_hash, return_inverse=True)
-            c_members = []
-            c_positions = []
-            for v in range(len(uc)):
-                sel = c_inv == v
-                c_members.append(np.unique(c_ids[sel]))
-                c_positions.append(np.unique(c_pos[sel]))
-            # query classes by whole-doc hash
-            q_hashes = qhash[s:e][qm]
-            q_ids = run_ids[qm]
-            q_offs = pos[s:e][qm]
-            q_lens = qlen[s:e][qm]
-            q_chars = qchars[s:e][qm]
-            uniq, first, inv = np.unique(q_hashes, return_index=True, return_inverse=True)
-            for u in range(len(uniq)):
-                members = np.unique(q_ids[inv == u])
-                qoff = int(q_offs[first[u]])
-                ql_u = int(q_lens[first[u]])
-                qh_u = int(q_hashes[first[u]])
-                qc_u = int(q_chars[first[u]])
-                for v in range(len(uc)):
-                    if uc[v] == uniq[u]:
-                        continue  # identical text can never strictly contain
-                    st = c_positions[v] - qoff
-                    st = st[st >= 0]
-                    if len(st) == 0:
-                        continue
-                    mv = c_members[v]
-                    # (query member × container member × start) product,
-                    # vectorized — proportional to true candidate volume
-                    n_cand = len(members) * len(mv) * len(st)
-                    o_key.append(np.tile(np.repeat(mv, len(st)), len(members)))
-                    o_qid.append(np.repeat(members, len(mv) * len(st)))
-                    o_start.append(np.tile(st, len(members) * len(mv)))
-                    o_qlen.append(np.full(n_cand, ql_u, dtype=np.int64))
-                    o_qhash.append(np.full(n_cand, qh_u, dtype=np.uint64))
-                    o_qchars.append(np.full(n_cand, qc_u, dtype=np.int64))
-        if small_k:
-            o_key.append(np.asarray(small_k))
-            o_qid.append(np.asarray(small_q))
-            o_start.append(np.asarray(small_st, dtype=np.int64))
-            o_qlen.append(np.asarray(small_ql, dtype=np.int64))
-            o_qhash.append(np.asarray(small_qh, dtype=np.uint64))
-            o_qchars.append(np.asarray(small_qc, dtype=np.int64))
-        if o_key:
-            key_arr = np.concatenate(o_key)
-            qid_arr = np.concatenate(o_qid)
-            start_arr = np.concatenate(o_start)
-            qlen_arr = np.concatenate(o_qlen)
-            qhash_arr = np.concatenate(o_qhash)
-            qchars_arr = np.concatenate(o_qchars)
-        else:
-            key_arr = qid_arr = np.empty(0, dtype=object)
-            start_arr = qlen_arr = qchars_arr = np.empty(0, dtype=np.int64)
-            qhash_arr = np.empty(0, dtype=np.uint64)
-        return pa.table(
-            {
-                "key": pa.array(key_arr, id_type),
-                "qid": pa.array(qid_arr, id_type),
-                "start": pa.array(start_arr.astype(np.int32)),
-                "qlen": pa.array(qlen_arr.astype(np.int32)),
-                "qhash": pa.array(qhash_arr, pa.uint64()),
-                "qchars": pa.array(qchars_arr.astype(np.int32)),
-            }
-        )
-
-    # anchor rows are slim (~25-40 B: anchor u64 + id + 3 small ints),
-    # so the coalesce gate can sit far above the 0.5 KB-row default —
-    # 1M rows is a ~30 MB single block, cheaper than aggregator actors
-    candidates = staged(
-        map_key_runs(
-            exploded, "anchor", emit_candidates, num_partitions, small_rows=1 << 20
-        )
+def substring_verify_batch(batch: pa.Table, id_col: str, text_col: str, window: int, classes: dict) -> pa.Table:
+    """``(id_a, id_b)`` pairs with ``id_b`` a doc of this batch and
+    ``id_a`` a strict token slice of it. Each container window (at
+    ``window`` and at every short query length) is looked up in the
+    sorted class anchors; a hit of class ``j`` at window position ``p``
+    puts the query at tokens ``[st, fin) = [p - qoff_j, p - qoff_j +
+    qlen_j)``, which must lie inside the doc, with fewer chars than the
+    doc and a different whole-doc hash (identical text never strictly
+    contains), and whose prefix-sum hash must equal ``qhash_j``. The
+    distinct ``(class, doc)`` hits expand to every class member."""
+    lens, hv, off, S, bpow, dhash, chars = _substring_tokens(batch, text_col)
+    ids = batch.column(id_col)
+    ca = classes["anchor"]
+    hit_doc, hit_cls, hit_st = [], [], []
+    for w in [window, *classes["short_lens"]]:
+        crow, pos, _, _ = _token_windows(lens, w)
+        anc = _fold_windows(hv, off[crow] + pos, w)
+        lo = np.searchsorted(ca, anc, side="left")
+        nhit = np.searchsorted(ca, anc, side="right") - lo
+        k = np.flatnonzero(nhit)
+        if len(k) == 0:
+            continue
+        cnt = nhit[k]
+        rep = np.repeat(k, cnt)
+        j = np.repeat(lo[k], cnt) + (np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt))
+        hit_doc.append(crow[rep])
+        hit_cls.append(j)
+        hit_st.append(pos[rep] - classes["qoff"][j])
+    empty = pa.table({"id_a": pa.array([], ids.type), "id_b": pa.array([], ids.type)})
+    if not hit_doc:
+        return empty
+    d, j, st = np.concatenate(hit_doc), np.concatenate(hit_cls), np.concatenate(hit_st)
+    fin = st + classes["qlen"][j]
+    ok = (st >= 0) & (fin <= lens[d]) & (classes["qchars"][j] < chars[d]) & (classes["qhash"][j] != dhash[d])
+    d, j, st, fin = d[ok], j[ok], st[ok], fin[ok]
+    base = off[d]
+    match = (S[base + fin] - S[base + st]) * bpow[base + fin - 1] == classes["qhash"][j]
+    # a container holding a query twice hits twice: one pair. Each doc
+    # sits in exactly one batch, so batch-local distinct is global.
+    key = np.unique(j[match] * len(lens) + d[match])
+    if len(key) == 0:
+        return empty
+    j, d = key // len(lens), key % len(lens)
+    mstart = classes["mstart"]
+    m = mstart[j + 1] - mstart[j]
+    member = np.repeat(mstart[j], m) + (np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m))
+    return pa.table(
+        {
+            "id_a": classes["ids"].take(pa.array(member)),
+            "id_b": ids.take(pa.array(np.repeat(d, m))),
+        }
     )
 
-    # ---- verify: key candidates by container id, union the docs table
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table(
-            {
-                "key": batch.column(id_col),
-                "qid": pa.array([None] * n, id_type),
-                "start": pa.array(np.full(n, -1, np.int32)),
-                "qlen": pa.array(np.zeros(n, np.int32)),
-                "qhash": pa.array(np.zeros(n, np.uint64)),
-                "qchars": pa.array(np.zeros(n, np.int32)),
-                "text": batch.column(text_col),
-            }
-        )
 
-    def pad_candidates(batch: pa.Table) -> pa.Table:
-        return batch.append_column("text", pa.array([None] * len(batch), pa.string()))
+def substring_pairs(ds, id_col: str, text_col: str, window: int = 4):
+    """(contained_id → id_a, container_id → id_b) pairs where one
+    caption is a strict token slice of another (SURVEY §2.5), checked
+    by hash; every pair appears once.
 
-    verify_input = ds.select_columns([id_col, text_col]).map_batches(
-        tag_docs, batch_format="pyarrow"
-    ).union(candidates.map_batches(pad_candidates, batch_format="pyarrow"))
+    One pre-pass execution and one map, no shuffle:
 
-    empty_pairs = pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type)})
+    1. *queries* (``substring_query_rows``): every non-empty doc emits
+       one ~40-byte row — min-window anchor, its offset, token count,
+       whole-doc hash, char count. The driver collects them as Arrow
+       blocks and collapses identical texts into classes
+       (``substring_query_classes``), so an exact-duplicate flood costs
+       one class, not m² candidates.
+    2. *broadcast*: the class table is ``ray.put`` once and read per
+       worker through ``_cached_object``. It grows with the corpus at
+       ≈ 50 B per distinct query text: ≈ 2 MB at 36k docs, ≈ 5 MB at
+       92k, ≈ 250 MB at 5M (shared zero-copy through the object store).
+    3. *verify* (``substring_verify_batch``): each doc, as a container,
+       is checked in the map that already holds its text — its windows
+       probe the class anchors, and every hit is verified with one
+       prefix-sum hash compare. No text moves between tasks.
 
-    def verify(block: pa.Table, starts, ends) -> pa.Table:
-        tcol = block.column("text")
-        if isinstance(tcol, pa.ChunkedArray):
-            tcol = tcol.combine_chunks()
-        start = block.column("start").to_numpy(zero_copy_only=False)
-        qlen = block.column("qlen").to_numpy(zero_copy_only=False)
-        qh = block.column("qhash").to_numpy(zero_copy_only=False)
-        qchars = block.column("qchars").to_numpy(zero_copy_only=False)
-        if len(starts) == 0:
-            return empty_pairs
-        # ---- find each run's doc row (the one non-null text) without
-        # touching Python strings: searchsorted into the valid-row list
-        valid_rows = np.flatnonzero(pc.is_valid(tcol).to_numpy(zero_copy_only=False))
-        if len(valid_rows) == 0:
-            return empty_pairs
-        pos = np.searchsorted(valid_rows, starts)
-        has_doc = (pos < len(valid_rows)) & (valid_rows[np.minimum(pos, len(valid_rows) - 1)] < ends)
-        live_m = has_doc & ((ends - starts) >= 2)
-        if not live_m.any():
-            return empty_pairs
-        l_starts = starts[live_m]
-        l_ends = ends[live_m]
-        l_doc = valid_rows[pos[live_m]]
-        # ---- tokenize ALL live docs with one Arrow split + one flat
-        # hash call (must agree with explode's tokenizer)
-        dtexts = tcol.take(pa.array(l_doc))
-        dlens, dflat = split_ws_tokens(dtexts)
-        hv_flat = flat_token_hashes64(dflat)
-        doff = np.concatenate(([0], np.cumsum(dlens)[:-1]))
-        dchars = (
-            pc.fill_null(pc.utf8_length(dtexts), 0)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        bpow_all, binv_all = poly_powers(int(dlens.max()) if len(dlens) else 0)
-        # ---- global prefix sums: ONE cumsum over the flat tokens with
-        # per-doc LOCAL exponents; S_d[j] = C[doff_d + j] - C[doff_d]
-        # (uint64 wraparound makes the difference exact), so every
-        # candidate check below is pure gather arithmetic — no per-run
-        # Python at all
-        ntok = len(hv_flat)
-        local_k = np.arange(ntok, dtype=np.int64) - np.repeat(doff, dlens)
-        C = np.zeros(ntok + 1, dtype=np.uint64)
-        np.cumsum(hv_flat * binv_all[local_k], out=C[1:])
-        # candidate rows = every run row except the run's doc row
-        rsz = l_ends - l_starts
-        rtot = int(rsz.sum())
-        rpre = np.concatenate(([0], np.cumsum(rsz)[:-1]))
-        crow = np.arange(rtot) - np.repeat(rpre, rsz) + np.repeat(l_starts, rsz)
-        crun = np.repeat(np.arange(len(l_starts)), rsz)
-        keepc = crow != l_doc[crun]
-        crow, crun = crow[keepc], crun[keepc]
-        st = start[crow].astype(np.int64)
-        fin = st + qlen[crow].astype(np.int64)
-        valid = (fin <= dlens[crun]) & (qchars[crow] < dchars[crun])
-        if not valid.any():
-            return empty_pairs
-        crow, crun, st, fin = crow[valid], crun[valid], st[valid], fin[valid]
-        # H(st, fin) normalized to the query frame: exponent of the
-        # m-th window token must be ql-1-m ⇒ multiplier B^(fin-1)
-        base = doff[crun]
-        h = (C[base + fin] - C[base + st]) * bpow_all[fin - 1]
-        match = h == qh[crow]
-        if not match.any():
-            return empty_pairs
-        # one take per side, then a block-local distinct (multiple
-        # matching starts in one run → one pair; runs are disjoint per
-        # (query-class, container), so block-local dedupe is global)
-        qa = block.column("qid").take(pa.array(crow[match]))
-        cb = block.column("key").take(pa.array(l_doc[crun[match]]))
-        out = pa.table({"id_a": qa, "id_b": cb})
-        return out.group_by(["id_a", "id_b"]).aggregate([]).cast(empty_pairs.schema)
+    An empty corpus returns a typed empty dataset after the pre-pass."""
+    import ray
+    import ray.data as rd
 
-    # exact row count of the union the planner can't size: tag_docs
-    # emits n_docs rows, pad_candidates the staged candidate count —
-    # lets tiny corpora coalesce
-    n_cand = meta_count(candidates)
-    approx_verify = (n_docs + n_cand) if (n_docs is not None and n_cand is not None) else None
-    pairs = map_key_runs(
-        verify_input, "key", verify, num_partitions, approx_rows=approx_verify
+    slim = ds.select_columns([id_col, text_col])
+    blocks = ray.get(
+        slim.map_batches(
+            lambda b: substring_query_rows(b, id_col, text_col, window), batch_format="pyarrow"
+        ).to_arrow_refs()
     )
-
-    # pairs are globally unique by construction: each (query-class,
-    # container) is generated in exactly one anchor run (short docs'
-    # single whole-doc anchor included), deduped per container run in
-    # verify. No dedupe shuffle needed.
-    return pairs
+    blocks = [b for b in blocks if b.num_rows]
+    if not blocks:
+        id_type = ds.schema().base_schema.field(id_col).type
+        return rd.from_arrow(pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type)}))
+    ref = ray.put(substring_query_classes(pa.concat_tables(blocks), id_col, window))
+    return slim.map_batches(
+        lambda b: substring_verify_batch(b, id_col, text_col, window, _cached_object(ref)),
+        batch_format="pyarrow",
+    )
 
 
 # -------------------------------------------------- n-gram Jaccard (AllPairs)

@@ -128,25 +128,17 @@ def meta_count(ds) -> int | None:
 SMALL_SHUFFLE_ROWS = 65536
 
 
-def _keyed_partitions(ds, keys: list[str], num_partitions: int, approx_rows: int | None = None, small_rows: int | None = None):
+def _keyed_partitions(ds, keys: list[str], num_partitions: int, approx_rows: int | None = None):
     """Keyed repartition with the small-input fast path (see
     SMALL_SHUFFLE_ROWS). Only a metadata-cheap row count — or a
-    caller-supplied UPPER BOUND (``approx_rows``, e.g. docs + staged
-    candidate count for a union the planner can't size) — can trigger
+    caller-supplied UPPER BOUND (``approx_rows``, e.g. for a union the
+    planner can't size) — can trigger
     the coalesce; datasets with real lineage never pay an execution to
-    size themselves. ``small_rows`` RAISES the coalesce threshold for
-    shuffles whose rows are far slimmer than the 0.5 KB signature rows
-    the default is sized for (e.g. 25 B anchor rows → 1M rows is a
-    ~25 MB single block); it never lowers it, and the
-    SMALL_SHUFFLE_ROWS=0 test seam (forcing the distributed path)
-    still wins."""
+    size themselves."""
     rows = meta_count(ds)
     if rows is None:
         rows = approx_rows
-    gate = SMALL_SHUFFLE_ROWS if SMALL_SHUFFLE_ROWS == 0 else max(
-        SMALL_SHUFFLE_ROWS, small_rows or 0
-    )
-    if rows is not None and rows <= gate:
+    if rows is not None and rows <= SMALL_SHUFFLE_ROWS:
         return ds.repartition(1)  # split/merge of block refs, no actors
     return ds.repartition(effective_partitions(num_partitions), keys=keys)
 
@@ -210,7 +202,7 @@ def tune_for_session(ds):
     return ds
 
 
-def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run: int = 2, sort_extra: list[str] | tuple = (), approx_rows: int | None = None, small_rows: int | None = None, **map_kwargs):
+def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run: int = 2, sort_extra: list[str] | tuple = (), approx_rows: int | None = None, **map_kwargs):
     """Apply ``run_fn(block, starts, ends)`` to every hash partition.
 
     ``block`` is a pyarrow.Table sorted by ``keys`` (+ ``sort_extra``
@@ -235,7 +227,7 @@ def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run
         keys = [keys]
     ensure_hash_shuffle()
     tune_for_session(ds)
-    parted = _keyed_partitions(ds, keys, num_partitions, approx_rows, small_rows)
+    parted = _keyed_partitions(ds, keys, num_partitions, approx_rows)
 
     sort_cols = list(keys) + [c for c in sort_extra if c not in keys]
 

@@ -6,12 +6,12 @@ for captions that are verbatim token slices of other captions.
 Distributed shape (``stages/dedup.substring_pairs`` wires it up): a
 query caption contained in a container caption shares its anchor (the
 minimum hash over its ``window``-token windows) with one of the
-container's token windows, so grouping by anchor hash co-locates every
-(contained, container) candidate; a verify shuffle keyed by container
-id then checks each candidate in O(1) with the polynomial rolling hash
-below (prefix sums over per-token hashes). Captions shorter than
-``window`` tokens are anchored on their whole token list — no
-candidate is lost.
+container's token windows. Every caption's anchor goes into one
+broadcast table; each container caption, in the map task that already
+holds its text, looks its windows up in that table and checks each hit
+in O(1) with the polynomial rolling hash below (prefix sums over
+per-token hashes). Captions shorter than ``window`` tokens are anchored
+on their whole token list — no candidate is lost.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ names, order-insensitive value hash). Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -47,7 +48,8 @@ def main():
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout this script lives in, not whichever one is installed
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry_mod
 
     qs = entry_mod.queries()

@@ -141,7 +141,7 @@ def test_substring_pairs_slim_path(ray_session, shuffle_mode):
     ds = _ds_from_table(t, 3)
     got = {
         (r["id_a"], r["id_b"])
-        for r in substring_pairs(ds, "doc_id", "text", window=4, num_partitions=16).take_all()
+        for r in substring_pairs(ds, "doc_id", "text", window=4).take_all()
     }
     want = set()
     for a, b in itertools.permutations(docs, 2):

@@ -482,24 +482,17 @@ def test_ngram_pairs_match_bruteforce(ray_session, threshold, monkeypatch):
     assert want_j and want_c  # the corpus must actually plant matches
 
 
-@pytest.mark.parametrize("path", ["coalesced", "distributed"])
-def test_substring_short_doc_heavy_corpus(ray_session, path, monkeypatch):
-    """Short docs (< window tokens, here ~35% of the corpus) route
-    through the distributed anchor machinery (r04; formerly an
-    unbounded driver broadcast + nested Python scan). Compared against
-    the SQL-oracle semantics brute-forced in Python: strict char-length
-    + space-delimited containment. Runs BOTH the small-corpus
-    coalesced shape (in-task short-lens, single-block explode) and the
-    distributed shape (pre-pass + hash shuffles) — in-memory corpora
-    are metadata-countable, so without forcing SMALL_SHUFFLE_ROWS=0
-    the distributed branch would go unexercised."""
+@pytest.mark.parametrize("blocks", [1, 8], ids=["one_block", "many_blocks"])
+def test_substring_short_doc_heavy_corpus(ray_session, blocks):
+    """Short docs (< window tokens, here ~35% of the corpus) are
+    anchored on their whole token list and found by the containers'
+    short-length windows. Compared against the SQL-oracle semantics
+    brute-forced in Python: strict char-length + space-delimited
+    containment. Runs the corpus as ONE input block and as many, so
+    queries and their containers also sit in different map batches."""
     import ray.data as rd
 
-    import raydedup.stages.grouped as G
     from raydedup.stages.dedup import substring_pairs
-
-    if path == "distributed":
-        monkeypatch.setattr(G, "SMALL_SHUFFLE_ROWS", 0)
 
     rng = np.random.default_rng(13)
     vocab = [f"t{i}" for i in range(25)]
@@ -527,7 +520,7 @@ def test_substring_short_doc_heavy_corpus(ray_session, path, monkeypatch):
     got = {
         (r["id_a"], r["id_b"])
         for r in substring_pairs(
-            rd.from_arrow(t), "doc_id", "text", window=4, num_partitions=4
+            rd.from_arrow(t).repartition(blocks), "doc_id", "text", window=4
         ).take_all()
     }
     want = {
