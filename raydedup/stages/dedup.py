@@ -110,15 +110,18 @@ def _fold_windows(hv: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     return anc
 
 
+def _ragged_arange(cnt: np.ndarray) -> np.ndarray:
+    """``0..cnt[i]-1`` for each segment ``i``, flat."""
+    return np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
 def _token_windows(lens: np.ndarray, w: int):
     """Every ``w``-token window of the docs that hold one: returns
     ``(doc row per window, window position in its doc, first window of
     each such doc, windows per such doc)``."""
     rows = np.flatnonzero(lens >= w)
     nwin = lens[rows] - w + 1
-    seg = np.cumsum(nwin) - nwin
-    pos = np.arange(int(nwin.sum()), dtype=np.int64) - np.repeat(seg, nwin)
-    return np.repeat(rows, nwin), pos, seg, nwin
+    return np.repeat(rows, nwin), _ragged_arange(nwin), np.cumsum(nwin) - nwin, nwin
 
 
 def _substring_tokens(batch: pa.Table, text_col: str):
@@ -224,7 +227,7 @@ def substring_verify_batch(batch: pa.Table, id_col: str, text_col: str, window: 
             continue
         cnt = nhit[k]
         rep = np.repeat(k, cnt)
-        j = np.repeat(lo[k], cnt) + (np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt))
+        j = np.repeat(lo[k], cnt) + _ragged_arange(cnt)
         hit_doc.append(crow[rep])
         hit_cls.append(j)
         hit_st.append(pos[rep] - classes["qoff"][j])
@@ -245,7 +248,7 @@ def substring_verify_batch(batch: pa.Table, id_col: str, text_col: str, window: 
     j, d = key // len(lens), key % len(lens)
     mstart = classes["mstart"]
     m = mstart[j + 1] - mstart[j]
-    member = np.repeat(mstart[j], m) + (np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m))
+    member = np.repeat(mstart[j], m) + _ragged_arange(m)
     return pa.table(
         {
             "id_a": classes["ids"].take(pa.array(member)),
