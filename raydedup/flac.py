@@ -4,7 +4,7 @@ Real audio corpora are mostly compressed; FLAC is the one mainstream
 audio compression buildable from scratch here because it is fully
 specified (the public FLAC format spec / RFC 9639) and lossless — the
 decoded-samples invariant is exact equality, the strongest form of the
-media-path self-verification the engine uses everywhere else.
+media-path verification the engine uses everywhere else.
 
 - decoder: STREAMINFO + frame parsing (UTF-8-coded frame numbers,
   all block-size/sample-rate/sample-size code forms), subframe types

@@ -163,8 +163,8 @@ def resize_bilinear(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
     """Bilinear resample of (h, w[, c]) uint8 to (oh, ow[, c]) uint8,
     half-pixel sample centers, edge-clamped — fully vectorized (one
     gather + one lerp per axis, no Python loops). Same-size resize is
-    bit-exact identity (the lerp weights collapse to 0), which is the
-    invariant the self-verifying query checks."""
+    bit-exact identity (the lerp weights collapse to 0), which
+    ``test_resize_kernels`` pins."""
     h, w = img.shape[:2]
     if (oh, ow) == (h, w):
         return img.copy()

@@ -1,4 +1,6 @@
-"""DuckDB oracle-SQL generators for the sketch queries.
+"""Query oracles: DuckDB oracle-SQL generators for the sketch queries,
+and ``VERIFIERS`` for the rows-only queries whose results are checked
+against a truth computed on the driver (end of this module).
 
 The sketches themselves are deterministic functions of (hashfunc,
 permutation seed), so with ``hashfunc="md5"`` (DuckDB's
@@ -20,6 +22,9 @@ Floating-point notes (the correctness driver hashes values):
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from raydedup.hashing import MAX_HASH, MERSENNE_PRIME, generate_permutations
 
@@ -497,3 +502,274 @@ SELECT round(CASE WHEN zeros > 0 AND {float(m)} * ln({float(m)} / CAST(zeros AS 
                   WHEN e_raw <= {float(5 * m)} THEN e_raw - bias_est
                   ELSE e_raw END, 6) AS ndv_users_hllpp
 FROM est, nearest"""
+
+
+# ------------------------------------------------------------- verifiers
+# Rows-only queries whose result is checkable against a truth the driver
+# computes from the parquet tables with numpy / pyarrow, at test scale,
+# independent of the engine's shuffles and broadcasts.
+# ``VERIFIERS[name](sf_dir, result)`` checks the query at its default
+# arguments and raises ``VerificationError`` — never an ``assert``, so
+# ``python -O`` keeps every check.
+VERIFIERS: dict = {}
+
+
+class VerificationError(RuntimeError):
+    """A query result broke the guarantee its verifier checks."""
+
+
+def verifier(fn):
+    """Register a verifier under its name without the ``verify_`` prefix."""
+    VERIFIERS[fn.__name__.removeprefix("verify_")] = fn
+    return fn
+
+
+def _require(ok, msg: str) -> None:
+    if not ok:
+        raise VerificationError(msg)
+
+
+def _table(result) -> pa.Table:
+    """A query result (Table, Dataset or pandas DataFrame) as one Table."""
+    import pandas as pd
+
+    from raydedup.queries import _collect
+
+    if isinstance(result, pd.DataFrame):
+        return pa.Table.from_pandas(result, preserve_index=False)
+    return _collect(result)
+
+
+def _col(t: pa.Table, name: str) -> list:
+    return t.column(name).to_pylist()
+
+
+def _require_ids(got: list, want: list) -> None:
+    """``got`` holds every id of ``want`` exactly once."""
+    _require(
+        len(got) == len(set(got)) and set(got) == set(want),
+        f"{len(got)} rows ({len(set(got))} distinct), want the {len(want)} ids of the input",
+    )
+
+
+def _require_topk_recall(sf_dir: str, result, qcol: str, drop_self: bool, floor: float) -> None:
+    """ANN top-10 for the query vectors vec_id ∈ {0,1,2} (``qcol`` holds
+    the query's vec_id): 10 distinct rows per query and recall ≥
+    ``floor`` against the exact cosine top-10."""
+    from raydedup.stages.ann import _emb_matrix, _normalize
+
+    emb = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ids = emb.column("vec_id").to_numpy()
+    m = _normalize(_emb_matrix(emb, "embedding"))
+    t = _table(result)
+    q, got = t.column(qcol).to_numpy(), t.column("vec_id").to_numpy()
+    _require(set(q.tolist()) <= {0, 1, 2}, "rows for queries outside vec_id 0..2")
+    k = min(10, len(ids) - drop_self)
+    hits = 0
+    for qid in (0, 1, 2):
+        cos = m @ m[ids == qid][0]
+        truth = [v for v in ids[np.lexsort((ids, -cos))] if not (drop_self and v == qid)][:k]
+        mine = got[q == qid].tolist()
+        _require(len(set(mine)) == len(mine) == k, f"query {qid}: {len(mine)} rows, want {k}")
+        _require(not (drop_self and qid in mine), f"query {qid} returned itself")
+        hits += len(set(mine) & set(truth))
+    _require(hits >= floor * 3 * k, f"recall {hits / (3 * k):.3f} < {floor} vs the exact top-{k}")
+
+
+@verifier
+def verify_hnsw_topk(sf_dir: str, result) -> None:
+    _require_topk_recall(sf_dir, result, "query_id", drop_self=True, floor=0.9)
+
+
+@verifier
+def verify_ivf_topk(sf_dir: str, result) -> None:
+    _require_topk_recall(sf_dir, result, "query_idx", drop_self=False, floor=0.8)
+
+
+def _synth_images(columns: list[str]) -> pa.Table:
+    """The synthetic image corpus sorted by image_id; its last three rows
+    are the planted corrupt blobs (valid metadata, undecodable bytes)."""
+    from raydedup.queries import _synth_images_path
+
+    return pq.read_table(_synth_images_path(), columns=columns).sort_by("image_id")
+
+
+@verifier
+def verify_image_features_synth(sf_dir: str, result) -> None:
+    """Every image once; decode_ok False on exactly the planted corrupt
+    blobs; the stored phash reproduced bit-exactly on every other row."""
+    truth = _synth_images(["image_id", "phash"])
+    ids = _col(truth, "image_id")
+    t = _table(result).sort_by("image_id")
+    _require_ids(_col(t, "image_id"), ids)
+    ok = _col(t, "decode_ok")
+    bad = [i for i, o in zip(ids, ok) if not o]
+    _require(bad == ids[-3:], f"decode_ok False on {bad}, want {ids[-3:]}")
+    got = [p for p, o in zip(_col(t, "phash_check"), ok) if o]
+    want = [p for p, o in zip(_col(truth, "phash"), ok) if o]
+    _require(got == want, "decoded phash diverges from the stored phash")
+
+
+@verifier
+def verify_image_thumbs_synth(sf_dir: str, result) -> None:
+    """One 16×16×3 thumb per decodable image (the corrupt blobs dropped),
+    the first 32 byte-for-byte equal to the resize kernel run here."""
+    from raydedup.media import decode_image, resize_image
+
+    src = _synth_images(["image_id", "bytes", "w", "h", "fmt"])
+    t = _table(result).sort_by("image_id")
+    _require_ids(_col(t, "image_id"), _col(src, "image_id")[:-3])
+    thumbs = _col(t, "thumb")
+    sizes = set(zip(_col(t, "thumb_w"), _col(t, "thumb_h"), map(len, thumbs)))
+    _require(sizes == {(16, 16, 16 * 16 * 3)}, f"thumb (w, h, bytes) {sizes}, want fixed 16×16×3")
+    for row, got in zip(src.slice(0, 32).to_pylist(), thumbs):
+        img = decode_image(row["bytes"], row["w"], row["h"], row["fmt"])
+        want = resize_image(img, 16, 16).tobytes()
+        _require(want == got, f"thumb of {row['image_id']} differs from the kernel's")
+
+
+@verifier
+def verify_image_stream_dedup(sf_dir: str, result) -> None:
+    """Rows in arrival order: an image is a dup iff some earlier row's
+    phash lies within Hamming distance 3 (brute-force prefix sweep)."""
+    src = _synth_images(["image_id", "phash"])
+    t = _table(result)
+    ids = _col(t, "image_id")
+    _require_ids(ids, _col(src, "image_id"))
+    ph = dict(zip(_col(src, "image_id"), _col(src, "phash")))
+    x = np.array([ph[i] for i in ids], dtype=np.int64).view(np.uint64)
+    want = [False] + [
+        bool((np.unpackbits((x[:i] ^ x[i]).view(np.uint8)).reshape(i, 64).sum(axis=1) <= 3).any())
+        for i in range(1, len(ids))
+    ]
+    bad = [i for i, (f, w) in enumerate(zip(_col(t, "is_dup"), want)) if f != w]
+    _require(not bad, f"flags differ from the sweep at rows {bad[:5]}")
+
+
+@verifier
+def verify_audio_features_synth(sf_dir: str, result) -> None:
+    """Every clip once with its codec, decoded, and its RMS within 2% of
+    the original signal's (the companding bound)."""
+    from raydedup.queries import _synth_media_path
+
+    cols = ["audio_id", "codec", "expected_rms"]
+    truth = pq.read_table(_synth_media_path("audio", 200), columns=cols).sort_by("audio_id")
+    t = _table(result).sort_by("audio_id")
+    _require_ids(_col(t, "audio_id"), _col(truth, "audio_id"))
+    _require(t.column("codec").equals(truth.column("codec")), "codec column differs")
+    _require(pc.all(t.column("decode_ok")).as_py(), "a clip failed to decode")
+    rms, want = t.column("rms").to_numpy(), truth.column("expected_rms").to_numpy()
+    _require(np.all(np.abs(rms - want) <= 0.02 * want + 1e-9), "RMS out of the companding bound")
+
+
+@verifier
+def verify_video_frames_synth(sf_dir: str, result) -> None:
+    """Exactly the sampled frames (every 5th, ≤ 4 per video), each with
+    the stored round-tripped phash, bit-exactly."""
+    from raydedup.queries import _synth_media_path
+
+    truth = pq.read_table(_synth_media_path("video", 40), columns=["video_id", "frame_phashes"])
+    want = {
+        (vid, 5 * j): ph
+        for vid, phl in zip(_col(truth, "video_id"), _col(truth, "frame_phashes"))
+        for j, ph in enumerate(phl)
+    }
+    t = _table(result)
+    keys = list(zip(_col(t, "video_id"), _col(t, "frame_idx")))
+    _require_ids(keys, list(want))
+    bad = [k for k, ph in zip(keys, _col(t, "phash_check")) if ph != want[k]]
+    _require(not bad, f"phash mismatch at {bad[:5]}")
+
+
+@verifier
+def verify_bloom_dedup_filter(sf_dir: str, result) -> None:
+    """Flags of the odd doc_ids vs the exact band semi-join against the
+    even ones: zero false negatives, false positives within budget."""
+    from raydedup.bloom import band_values
+    from raydedup.schema import sig_to_numpy
+    from raydedup.stages.signatures import SignatureStage
+
+    b, r, fp = 16, 8, 1e-4  # as q_bloom_dedup_filter
+    docs = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    stage = SignatureStage(shingle="word3", text_col="text", phash_col=None, hashfunc="md5")
+    bv = band_values(sig_to_numpy(stage(docs).column("minhash")), b, r)
+    ids = docs.column("doc_id").to_numpy()
+    even = ids % 2 == 0
+    hit = np.any([np.isin(bv[:, j], bv[even, j]) for j in range(b)], axis=0)
+    exact = set(ids[hit & ~even].tolist())
+    t = _table(result)
+    got = _col(t, "doc_id")
+    _require_ids(got, ids[~even].tolist())
+    bloom = {i for i, f in zip(got, _col(t, "is_dup")) if f}
+    _require(exact <= bloom, f"false negatives {sorted(exact - bloom)[:5]}")
+    budget = max(5, int(3 * b * fp * len(got)))
+    _require(len(bloom - exact) <= budget, f"{len(bloom - exact)} false positives > {budget}")
+
+
+@verifier
+def verify_semantic_dedup(sf_dir: str, result) -> None:
+    """The SemDeDup rule in one process: the same seeded centroids (over
+    the query's ≤ 20,000-row sample) give the same cells; a row is a dup
+    iff a same-cell row with a smaller vec_id has cosine > 0.45."""
+    from raydedup.stages.ann import _emb_matrix, _normalize, spherical_kmeans
+
+    emb = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ids = emb.column("vec_id").to_numpy()
+    raw = _emb_matrix(emb, "embedding")
+    m = _normalize(raw)
+    cells = np.argmax(m @ spherical_kmeans(raw[:20_000], n_centroids=16).T, axis=1)
+    want = np.zeros(len(ids), dtype=bool)
+    for c in np.unique(cells):
+        sel = np.flatnonzero(cells == c)
+        sel = sel[np.argsort(ids[sel], kind="stable")]
+        want[sel] = np.triu(m[sel] @ m[sel].T > 0.45, k=1).any(axis=0)
+    t = _table(result)
+    _require_ids(_col(t, "vec_id"), ids.tolist())
+    got = dict(zip(_col(t, "vec_id"), _col(t, "is_dup")))
+    bad = [v for v, w in zip(ids.tolist(), want) if bool(got[v]) != w]
+    _require(not bad, f"flags differ from the local rule at vec_id {bad[:5]}")
+
+
+@verifier
+def verify_price_quantiles_sketch(sf_dir: str, result) -> None:
+    """Each estimate's exact rank interval [#< x, #≤ x] meets ``q·n``
+    within twice the sketch's rank-error bound, +1 (rank error plus
+    retained-weight drift)."""
+    price = pq.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
+    x = np.sort(price.column(0).to_numpy())
+    t = _table(result)
+    qs = _col(t, "q")
+    _require(qs == [0.01, 0.25, 0.5, 0.75, 0.99], f"quantiles {qs}")
+    for q, est, n, bound in zip(qs, _col(t, "est_price"), _col(t, "n"), _col(t, "rank_error_bound")):
+        lt, le = np.searchsorted(x, est, "left"), np.searchsorted(x, est, "right")
+        _require(
+            n == len(x) and le >= q * n - (2 * bound + 1) and lt <= q * n + (2 * bound + 1),
+            f"q={q}: est={est} has rank [{lt}, {le}] of {len(x)} rows, n={n}, bound={bound}",
+        )
+
+
+@verifier
+def verify_heavy_hitter_terms(sf_dir: str, result) -> None:
+    """The Misra–Gries guarantees over the output's own columns: est ≤
+    exact ≤ est + dec for every reported term, and every unreported term
+    has exact count ≤ min(est) + dec (never retained, so ≤ dec, or
+    retained below the reported ones)."""
+    text = pq.read_table(f"{sf_dir}/documents.parquet", columns=["text"]).column("text")
+    toks = pc.list_flatten(pc.utf8_split_whitespace(text))
+    vc = toks.filter(pc.not_equal(toks, "")).value_counts()
+    exact = dict(zip(vc.field(0).to_pylist(), vc.field(1).to_pylist()))
+    t = _table(result)
+    terms, est = _col(t, "term"), _col(t, "est_count")
+    _require(len(set(terms)) == len(terms) == len(est) > 0, "want distinct, non-empty terms")
+    dec = t.column("dec_total")[0].as_py()
+    _require(
+        set(_col(t, "dec_total")) == {dec}
+        and set(_col(t, "n_tokens")) == {sum(exact.values())},
+        "dec_total must be one value and n_tokens the corpus token count",
+    )
+    for term, e, ub in zip(terms, est, _col(t, "upper_bound")):
+        c = exact.get(term, 0)
+        _require(e <= c <= e + dec and ub == e + dec, f"{term!r}: est={e} exact={c} dec={dec}")
+    floor, reported = min(est) + dec, set(terms)
+    missed = sorted((c, w) for w, c in exact.items() if c > floor and w not in reported)
+    _require(not missed, f"unreported terms above min(est)+dec={floor}: {missed[-5:]}")

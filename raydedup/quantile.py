@@ -22,8 +22,8 @@ sorted buffer, perturbing any rank by at most ``w``; a level of
 capacity ``k`` compacts at most ``n / (k · w)`` times, so the total
 rank error is at most ``sum_i n/k = L·n/k`` over ``L`` levels, with
 ``L ≈ log2(n/k)``. ``rank_error_bound()`` returns this exact per-state
-value; the self-verifying query asserts the MEASURED error against it
-with exact distributed rank counts.
+value; the ``price_quantiles_sketch`` verifier checks the MEASURED
+error against it with exact rank counts.
 """
 
 from __future__ import annotations

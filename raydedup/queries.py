@@ -33,7 +33,25 @@ def _read(sf_dir: str, table: str, columns=None):
     return rd.read_parquet(path, schema=schema, columns=columns)
 
 
+def _collect(res) -> pa.Table:
+    """A Dataset's rows as one ``pa.Table`` on the driver (a table
+    passes through)."""
+    if isinstance(res, pa.Table):
+        return res
+    return pa.concat_tables(list(res.iter_batches(batch_format="pyarrow")))
+
+
+QUERIES: dict = {}
+
+
+def query(fn):
+    """Register a query under its name without the ``q_`` prefix."""
+    QUERIES[fn.__name__.removeprefix("q_")] = fn
+    return fn
+
+
 # --------------------------------------------------------------------- dedup
+@query
 def q_exact_dedup_docs(sf_dir: str):
     from raydedup.stages.dedup import exact_dedup
 
@@ -41,10 +59,10 @@ def q_exact_dedup_docs(sf_dir: str):
     return exact_dedup(ds, ["text"], "doc_id").select_columns(["doc_id"])
 
 
-def q_minhash_dedup_docs(sf_dir: str):
-    """Flagship near-dup clustering over the documents table (text-only
-    profile of the image pipeline). Returns (image_id→doc member,
-    cluster_id) for every doc participating in a candidate pair."""
+def _doc_clusters(sf_dir: str, hashfunc: str):
+    """(image_id, cluster_id) of the text pipeline over the documents
+    table: MinHash bands ∪ exact content groups, no substring pass. A
+    ``pa.Table`` or a Dataset, as ``dedup_pipeline`` returns it."""
     from raydedup.pipeline import DedupConfig, dedup_pipeline
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -54,16 +72,20 @@ def q_minhash_dedup_docs(sf_dir: str):
         phash_col=None,
         use_substring=False,
         use_exact=True,
+        hashfunc=hashfunc,
     )
-    out = dedup_pipeline(ds, cfg)
-    clusters = out["clusters"]
-    if not isinstance(clusters, pa.Table):
-        clusters = pa.concat_tables(
-            [b for b in clusters.iter_batches(batch_format="pyarrow")]
-        )
-    return clusters.rename_columns(["doc_id", "cluster_id"])
+    return dedup_pipeline(ds, cfg)["clusters"]
 
 
+@query
+def q_minhash_dedup_docs(sf_dir: str):
+    """Flagship near-dup clustering over the documents table (text-only
+    profile of the image pipeline). Returns (image_id→doc member,
+    cluster_id) for every doc participating in a candidate pair."""
+    return _collect(_doc_clusters(sf_dir, "sha1")).rename_columns(["doc_id", "cluster_id"])
+
+
+@query
 def q_lsh_candidate_pairs_docs(sf_dir: str):
     """Raw banded-LSH candidate pairs (reference ``MinHashLSH.query``
     semantics: unfiltered union over bands). ``bucket_cap`` is lifted
@@ -87,6 +109,7 @@ def q_lsh_candidate_pairs_docs(sf_dir: str):
     return dedup_pipeline(ds, cfg)["pairs"]
 
 
+@query
 def q_substring_pairs_docs(sf_dir: str):
     from raydedup.stages.dedup import substring_pairs
 
@@ -94,6 +117,7 @@ def q_substring_pairs_docs(sf_dir: str):
     return substring_pairs(ds, "doc_id", "text", window=4)
 
 
+@query
 def q_ngram_jaccard_docs(sf_dir: str):
     from raydedup.stages.dedup import ngram_jaccard_pairs
 
@@ -101,6 +125,7 @@ def q_ngram_jaccard_docs(sf_dir: str):
     return ngram_jaccard_pairs(ds, "doc_id", "text", n=3, threshold=0.5)
 
 
+@query
 def q_simhash_docs(sf_dir: str):
     """64-bit Charikar simhash per document over word-trigram features
     (stored as signed int64 for parquet/SQL friendliness). md5 hash
@@ -120,6 +145,7 @@ def q_simhash_docs(sf_dir: str):
     )
 
 
+@query
 def q_embedding_near_dup(sf_dir: str):
     from raydedup.stages.dedup import embedding_near_dup
 
@@ -128,6 +154,7 @@ def q_embedding_near_dup(sf_dir: str):
 
 
 # ----------------------------------------------------------------- text ops
+@query
 def q_token_counts(sf_dir: str):
     from raydedup.stages.text import token_count_batch
 
@@ -138,6 +165,7 @@ def q_token_counts(sf_dir: str):
     )
 
 
+@query
 def q_doc_quality(sf_dir: str):
     from raydedup.stages.grouped import task_stage
     from raydedup.stages.text import QualityStage
@@ -151,6 +179,7 @@ def q_doc_quality(sf_dir: str):
     )
 
 
+@query
 def q_langid_docs(sf_dir: str):
     from raydedup.stages.grouped import task_stage
     from raydedup.stages.text import LangIdStage
@@ -162,6 +191,7 @@ def q_langid_docs(sf_dir: str):
     )
 
 
+@query
 def q_decontaminate_docs(sf_dir: str):
     """Benchmark decontamination — the LLM-pipeline op of removing
     training documents that leak evaluation data (the GPT-3-style
@@ -183,11 +213,9 @@ def q_decontaminate_docs(sf_dir: str):
         )
         return t.filter(pa.array(keep))
 
-    bench = pa.concat_tables(
-        list(
-            _read(sf_dir, "documents", columns=["doc_id", "text"])
-            .map_batches(bench_rows, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow")
+    bench = _collect(
+        _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+            bench_rows, batch_format="pyarrow"
         )
     )
     snips = [
@@ -217,6 +245,7 @@ def q_decontaminate_docs(sf_dir: str):
     )
 
 
+@query
 def q_repetition_docs(sf_dir: str):
     """Gopher-style within-document repetition signals (duplicate-word /
     top-word / duplicate-2-gram counts) — the canonical repetition
@@ -232,6 +261,7 @@ def q_repetition_docs(sf_dir: str):
     )
 
 
+@query
 def q_token_rarity_docs(sf_dir: str):
     """Corpus-frequency rarity scoring (the KenLM-perplexity-proxy
     quality filter): pass 1 builds the corpus token-frequency table
@@ -262,7 +292,7 @@ def q_token_rarity_docs(sf_dir: str):
             "vocabulary exceeds the exact-broadcast budget; wire the "
             "count-min tail (raydedup.cms) here for open-vocab corpora"
         )
-    freq_tbl = pa.concat_tables(list(freq_ds.iter_batches(batch_format="pyarrow")))
+    freq_tbl = _collect(freq_ds)
     vocab = freq_tbl.column("token").combine_chunks()
     counts = freq_tbl.column("sum(n_part)").to_numpy(zero_copy_only=False).astype(np.int64)
     ref = ray.put((vocab, counts))
@@ -305,6 +335,7 @@ def q_token_rarity_docs(sf_dir: str):
     )
 
 
+@query
 def q_fingerprint_docs(sf_dir: str):
     from raydedup.stages.text import fingerprint_batch
 
@@ -315,6 +346,7 @@ def q_fingerprint_docs(sf_dir: str):
     )
 
 
+@query
 def q_top_terms(sf_dir: str):
     """Corpus-wide term frequencies, top 20 (count desc, token asc) —
     partial counts per batch (Arrow split + value_counts, no Python
@@ -350,6 +382,7 @@ def q_top_terms(sf_dir: str):
 
 
 # --------------------------------------------------------- aggregates / SQL
+@query
 def q_docs_per_source(sf_dir: str):
     """Count + mean per source with a map-side combiner: blocks emit
     (source, count, sum) and the mean is one exact division of exact
@@ -373,6 +406,7 @@ def q_docs_per_source(sf_dir: str):
     )
 
 
+@query
 def q_events_per_type(sf_dir: str):
     """Count per type, pre-counted per block before a tiny shuffle."""
     from ray.data.aggregate import Sum
@@ -389,6 +423,7 @@ def q_events_per_type(sf_dir: str):
     )
 
 
+@query
 def q_distinct_users_exact(sf_dir: str):
     """Exact count-distinct, fully distributed: per-block distinct
     (combiner) → keyed distinct shuffle → distributed count. Nothing
@@ -407,6 +442,7 @@ def q_distinct_users_exact(sf_dir: str):
     return pa.table({"n_users": pa.array([n], pa.int64())})
 
 
+@query
 def q_hll_users_per_type(sf_dir: str):
     """Approximate distinct users per event type via the mergeable HLL
     AggregateFn (p=12) — reference semantics ``hyperloglog.py:103-183``."""
@@ -449,6 +485,7 @@ def _sum_by_keys(ds, keys: list[str], val: str, out: str, num_partitions: int = 
     return map_key_runs(ds, keys, sum_runs, num_partitions, min_run=1)
 
 
+@query
 def q_window_counts(sf_dir: str):
     """Tumbling 1-hour window counts per user (streaming-shaped op),
     pre-counted per batch (lexsort + run lengths) so the shuffle moves
@@ -478,6 +515,7 @@ def q_window_counts(sf_dir: str):
     return _sum_by_keys(pre, ["user_id", "win"], "n_part", "n")
 
 
+@query
 def q_sliding_window_counts(sf_dir: str):
     """Sliding-window aggregate (1-hour window, 15-minute slide): each
     event belongs to 4 overlapping windows, exploded in-map (4 slim
@@ -516,6 +554,7 @@ def q_sliding_window_counts(sf_dir: str):
     return _sum_by_keys(pre, ["user_id", "win"], "n_part", "n")
 
 
+@query
 def q_sessionize_events(sf_dir: str, gap_us: int = 1_800_000_000):
     """Gap-based sessionization (a new session starts after a >30-min
     silence) — the canonical event-stream operator no tumbling window
@@ -584,6 +623,7 @@ def q_sessionize_events(sf_dir: str, gap_us: int = 1_800_000_000):
     )
 
 
+@query
 def q_asof_join_events(sf_dir: str):
     """As-of join — each 'click' matched to the LATEST 'view' of the
     same user at or before it (pandas ``merge_asof`` semantics; the
@@ -660,6 +700,7 @@ def q_asof_join_events(sf_dir: str):
     )
 
 
+@query
 def q_overlapping_sessions(sf_dir: str, bucket_us: int = 3_600_000_000):
     """Interval-overlap RANGE join — co-active session pairs across
     users (sessions whose [start_us, end_us] intervals intersect), the
@@ -762,6 +803,7 @@ def q_overlapping_sessions(sf_dir: str, bucket_us: int = 3_600_000_000):
     )
 
 
+@query
 def q_json_field_stats(sf_dir: str):
     """Semi-structured extraction: pull the integer field ``k`` out of
     the JSON ``props`` column with ONE vectorized Arrow regex kernel
@@ -822,6 +864,7 @@ def q_json_field_stats(sf_dir: str):
     return map_key_runs(pre, "event_type", combine, num_partitions=2, min_run=1)
 
 
+@query
 def q_lineitem_agg(sf_dir: str):
     """Grouped sum/count with a map-side combiner: each block collapses
     to ≤ |groups| rows before the shuffle, so the exchange moves
@@ -847,6 +890,7 @@ def q_lineitem_agg(sf_dir: str):
     )
 
 
+@query
 def q_orders_by_segment(sf_dir: str, broadcast_max_rows: int = 4_000_000):
     """Dimension join, size-gated (VERDICT r04 wrong-#2): when the
     customer table fits the driver (metadata-cheap row count ≤
@@ -964,6 +1008,7 @@ def _select_rows(ds, id_col: str, wanted):
     return sorted(rows, key=lambda r: r[id_col])
 
 
+@query
 def q_ann_topk(sf_dir: str):
     """Exact cosine top-10 for query vectors vec_id ∈ {0,1,2} (self
     excluded); broadcast query matrix + per-batch matmul + global merge."""
@@ -995,6 +1040,7 @@ def q_ann_topk(sf_dir: str):
     )
 
 
+@query
 def q_ann_lsh_topk(sf_dir: str):
     """Scale-path ANN: hyperplane-bucketed candidates then exact rerank
     in ONE distributed pass — query (id, bucket, vector) triples are
@@ -1267,40 +1313,9 @@ ORACLES: dict[str, str] = {
     """,
 }
 
-QUERIES = {
-    "exact_dedup_docs": q_exact_dedup_docs,
-    "minhash_dedup_docs": q_minhash_dedup_docs,
-    "lsh_candidate_pairs_docs": q_lsh_candidate_pairs_docs,
-    "substring_pairs_docs": q_substring_pairs_docs,
-    "ngram_jaccard_docs": q_ngram_jaccard_docs,
-    "simhash_docs": q_simhash_docs,
-    "embedding_near_dup": q_embedding_near_dup,
-    "token_counts": q_token_counts,
-    "doc_quality": q_doc_quality,
-    "langid_docs": q_langid_docs,
-    "fingerprint_docs": q_fingerprint_docs,
-    "decontaminate_docs": q_decontaminate_docs,
-    "repetition_docs": q_repetition_docs,
-    "token_rarity_docs": q_token_rarity_docs,
-    "top_terms": q_top_terms,
-    "docs_per_source": q_docs_per_source,
-    "events_per_type": q_events_per_type,
-    "distinct_users_exact": q_distinct_users_exact,
-    "hll_users_per_type": q_hll_users_per_type,
-    "window_counts": q_window_counts,
-    "sliding_window_counts": q_sliding_window_counts,
-    "sessionize_events": q_sessionize_events,
-    "asof_join_events": q_asof_join_events,
-    "overlapping_sessions": q_overlapping_sessions,
-    "json_field_stats": q_json_field_stats,
-    "lineitem_agg": q_lineitem_agg,
-    "orders_by_segment": q_orders_by_segment,
-    "ann_topk": q_ann_topk,
-    "ann_lsh_topk": q_ann_lsh_topk,
-}
-
 
 # ------------------------------------- training-data ops (round-5 final)
+@query
 def q_dup_ngram_fraction(sf_dir: str):
     """Cross-document duplicated-n-gram counts — the exact-substring
     dedup *metric* from the dedup literature ("what fraction of this
@@ -1425,6 +1440,7 @@ def q_dup_ngram_fraction(sf_dir: str):
     )
 
 
+@query
 def q_cross_source_neardup(sf_dir: str):
     """Fuzzy JOIN between collections: banded-LSH candidate pairs whose
     endpoints come from DIFFERENT sources (syndication / cross-corpus
@@ -1526,6 +1542,7 @@ def q_cross_source_neardup(sf_dir: str):
     return unique_rows_partitioned(pairs, ["id_a", "id_b"], parts)
 
 
+@query
 def q_stratified_sample_docs(sf_dir: str):
     """Deterministic hash-based stratified sampling — the data-mixing
     op (per-source keep rates, reproducible across runs/engines, no
@@ -1558,6 +1575,7 @@ def q_stratified_sample_docs(sf_dir: str):
     )
 
 
+@query
 def q_source_mix_epochs(sf_dir: str):
     """Deterministic data-recipe mixing — upsample each source by a
     per-source epoch factor (the LLaMA-style 'epochs per corpus'
@@ -1601,8 +1619,6 @@ def q_source_mix_epochs(sf_dir: str):
     )
 
 
-QUERIES["source_mix_epochs"] = q_source_mix_epochs
-
 # source_mix_epochs: generate_series unnest reproduces the repeat;
 # the interleave key is the HUGEINT % 2^64 wrap profile every
 # generated sketch oracle uses. Integer-only output — hash-safe.
@@ -1629,10 +1645,6 @@ SELECT doc_id, source, CAST(epoch AS BIGINT) AS epoch,
 FROM m
 """
 
-
-QUERIES["dup_ngram_fraction"] = q_dup_ngram_fraction
-QUERIES["cross_source_neardup"] = q_cross_source_neardup
-QUERIES["stratified_sample_docs"] = q_stratified_sample_docs
 
 # dup_ngram_fraction: the oracle groups the 5-gram *strings* (the
 # engine groups their 64-bit window hashes — collision caveat shared
@@ -1690,6 +1702,7 @@ WHERE slot < 10 + 7 * (CAST(substring(source, 4) AS BIGINT) % 8)
 """
 
 
+@query
 def q_pack_sequences(sf_dir: str):
     """Sequence packing — concatenate documents in doc_id order and
     chunk the token stream at a fixed sequence length (the GPT-2/T5
@@ -1720,8 +1733,6 @@ def q_pack_sequences(sf_dir: str):
     return packed.map_batches(locate, batch_format="pyarrow")
 
 
-QUERIES["pack_sequences"] = q_pack_sequences
-
 # pack_sequences: the oracle is the window-function scan DuckDB runs
 # natively; tokenization is the \s+ profile the green token_counts
 # oracle pins. Integer-only output — hash-safe.
@@ -1745,6 +1756,7 @@ FROM o
 
 
 # --------------------------------------------- wider sketch/query surface
+@query
 def q_containment_pairs_docs(sf_dir: str):
     """EXACT shingle-containment pairs (|A∩B|/|A| ≥ 0.5) via the
     prefix-filtered inverted-index join (stages/topk.py)."""
@@ -1754,6 +1766,7 @@ def q_containment_pairs_docs(sf_dir: str):
     return containment_pairs_exact(ds, "doc_id", "text", n=3, threshold=0.5)
 
 
+@query
 def q_topk_similar_docs(sf_dir: str):
     """Forest-style top-10 most-similar (estimated Jaccard) for doc_ids
     0..4 — broadcast queries + one scan (rows-only: estimates are not
@@ -1783,6 +1796,7 @@ def q_topk_similar_docs(sf_dir: str):
     return topk_similar(sig_ds, qsigs, [r["doc_id"] for r in qrows], k=10, id_col="doc_id")
 
 
+@query
 def q_minhash_cardinality_docs(sf_dir: str):
     """Per-doc distinct-shingle cardinality estimate from the MinHash
     signature (reference ``minhash.py:326-335``); rows-only."""
@@ -1816,6 +1830,7 @@ def q_minhash_cardinality_docs(sf_dir: str):
     ).map_batches(est, batch_format="pyarrow")
 
 
+@query
 def q_source_union_signatures(sf_dir: str):
     """Group-level MinHash union signatures per source (mergeable-sketch
     aggregate, reference ``minhash.py:337-359``); emits the estimated
@@ -1850,6 +1865,7 @@ def q_source_union_signatures(sf_dir: str):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
+@query
 def q_hllpp_distinct_users(sf_dir: str):
     """Global distinct users via the 64-bit bias-corrected HLL++ sketch
     (reference ``hyperloglog.py:323-381``) as a distributed mergeable
@@ -1866,6 +1882,7 @@ def q_hllpp_distinct_users(sf_dir: str):
     )
 
 
+@query
 def q_weighted_minhash_embeddings(sf_dir: str):
     """Ioffe weighted-MinHash samples over the (abs of the) embedding
     vectors — the weighted-Jaccard sketch path (reference
@@ -1897,6 +1914,7 @@ def q_weighted_minhash_embeddings(sf_dir: str):
     return ds.map_batches(WmhStage, batch_format="pyarrow", batch_size=512, concurrency=(1, 4), num_cpus=1, max_restarts=0)
 
 
+@query
 def q_ensemble_containment_docs(sf_dir: str):
     """LSH-Ensemble-style approximate containment candidates
     (size-partitioned per-partition (b, r) banding); rows-only."""
@@ -1945,6 +1963,7 @@ ORACLES["containment_pairs_docs"] = r"""
       AND len(list_intersect(a.sh, b.sh)) / len(a.sh) >= 0.5
 """
 
+@query
 def q_ngram_jaccard_docs_t08(sf_dir: str):
     """t=0.8 variant of ``ngram_jaccard_docs``: 0.8 is INEXACT in
     binary floating point, so this query permanently guards the
@@ -1957,6 +1976,7 @@ def q_ngram_jaccard_docs_t08(sf_dir: str):
     return ngram_jaccard_pairs(ds, "doc_id", "text", n=3, threshold=0.8)
 
 
+@query
 def q_containment_pairs_docs_t08(sf_dir: str):
     """t=0.8 variant of ``containment_pairs_docs`` (same boundary-class
     guard as ``ngram_jaccard_docs_t08`` for the asymmetric filter)."""
@@ -1973,28 +1993,13 @@ ORACLES["containment_pairs_docs_t08"] = ORACLES["containment_pairs_docs"].replac
     ">= 0.5", ">= 0.8"
 )
 
-QUERIES.update(
-    {
-        "ngram_jaccard_docs_t08": q_ngram_jaccard_docs_t08,
-        "containment_pairs_docs_t08": q_containment_pairs_docs_t08,
-        "containment_pairs_docs": q_containment_pairs_docs,
-        "topk_similar_docs": q_topk_similar_docs,
-        "minhash_cardinality_docs": q_minhash_cardinality_docs,
-        "source_union_signatures": q_source_union_signatures,
-        "hllpp_distinct_users": q_hllpp_distinct_users,
-        "weighted_minhash_embeddings": q_weighted_minhash_embeddings,
-        "ensemble_containment_docs": q_ensemble_containment_docs,
-    }
-)
 
-
+@query
 def q_hnsw_topk(sf_dir: str):
     """Graph-index ANN: sharded HNSW actors (raydedup/hnsw.py), top-10
-    per query vec_id ∈ {0,1,2} — SELF-VERIFYING: asserts recall ≥ 0.9
-    against the exact distributed brute-force top-10 before returning.
-    Rows-only (graph search order is not SQL-expressible)."""
-    import ray
-
+    per query vec_id ∈ {0,1,2}, self excluded. Rows-only (graph search
+    order is not SQL-expressible); ``oracles.VERIFIERS["hnsw_topk"]``
+    checks recall ≥ 0.9 against the exact top-10."""
     from raydedup.stages.ann import ShardedHnsw
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
@@ -2005,33 +2010,18 @@ def q_hnsw_topk(sf_dir: str):
         results = index.query(qvecs, k=11, ef=96)  # 11 then drop self
     finally:
         index.shutdown()
-    # exact ground truth for the self-check (reuses the oracled path)
-    from raydedup.stages.ann import brute_force_topk
-
-    truth = brute_force_topk(ds, qvecs, k=11).take_all()
-    true_sets = {}
-    for r in truth:
-        true_sets.setdefault(r["query_idx"], []).append(r["vec_id"])
     o_q, o_id = [], []
-    hits = total = 0
-    for qi, (qrow, res) in enumerate(zip(qrows, results)):
+    for qrow, res in zip(qrows, results):
         qid = qrow["vec_id"]
         got = [i for i, _ in res if i != qid][:10]
-        true10 = [v for v in true_sets[qi] if v != qid][:10]
-        hits += len(set(got) & set(true10))
-        total += 10
         o_q.extend([qid] * len(got))
         o_id.extend(got)
-    recall = hits / max(total, 1)
-    assert recall >= 0.9, f"HNSW recall {recall} < 0.9 vs brute force"
     return pa.table(
         {"query_id": pa.array(o_q, pa.int64()), "vec_id": pa.array(o_id, pa.int64())}
     )
 
 
-QUERIES["hnsw_topk"] = q_hnsw_topk
-
-
+@query
 def q_forest_topk_docs(sf_dir: str):
     """MinHashLSHForest-style indexed top-10 (deepest-common-prefix
     ranking over l=8 trees of k=16 slots) for doc_ids 0..4, md5 hash
@@ -2065,30 +2055,20 @@ def q_forest_topk_docs(sf_dir: str):
     )
 
 
-QUERIES["forest_topk_docs"] = q_forest_topk_docs
-
-
+@query
 def q_ivf_topk(sf_dir: str):
     """IVF coarse-quantizer ANN: k-means cells from a bounded sample,
-    nprobe-cell candidate scan, exact rerank — SELF-VERIFYING (recall
-    ≥ 0.8 vs distributed brute force asserted in-query). Rows-only
-    (k-means iteration floats are not SQL-reproducible)."""
-    from raydedup.stages.ann import brute_force_topk, ivf_topk
+    nprobe-cell candidate scan, exact rerank: top-10 for the query
+    vectors vec_id ∈ {0,1,2} (``query_idx`` 0..2, self included).
+    Rows-only (k-means iteration floats are not SQL-reproducible);
+    ``oracles.VERIFIERS["ivf_topk"]`` checks recall ≥ 0.8 against the
+    exact top-10."""
+    from raydedup.stages.ann import ivf_topk
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     qrows = _select_rows(ds, "vec_id", (0, 1, 2))
     qvecs = np.array([r["embedding"] for r in qrows], dtype=np.float64)
     res = ivf_topk(ds, qvecs, k=10, nprobe=10, n_centroids=16).take_all()
-    truth = brute_force_topk(ds, qvecs, k=10).take_all()
-    true_by_q: dict = {}
-    for r in truth:
-        true_by_q.setdefault(r["query_idx"], set()).add(r["vec_id"])
-    got_by_q: dict = {}
-    for r in res:
-        got_by_q.setdefault(r["query_idx"], set()).add(r["vec_id"])
-    hits = sum(len(got_by_q.get(q, set()) & s) for q, s in true_by_q.items())
-    total = sum(len(s) for s in true_by_q.values())
-    assert hits / max(total, 1) >= 0.8, f"IVF recall {hits/total} < 0.8"
     o_q = [r["query_idx"] for r in res]
     o_id = [r["vec_id"] for r in res]
     return pa.table(
@@ -2096,9 +2076,7 @@ def q_ivf_topk(sf_dir: str):
     )
 
 
-QUERIES["ivf_topk"] = q_ivf_topk
-
-
+@query
 def q_minhash_clusters_md5(sf_dir: str):
     """End-to-end near-dup CLUSTERING with a full SQL oracle: the
     flagship text profile (MinHash bands ∪ exact content groups →
@@ -2107,27 +2085,10 @@ def q_minhash_clusters_md5(sf_dir: str):
     recursive transitive closure. The sha1-profile flagship
     (minhash_dedup_docs) stays reference-bit-exact and is verified by
     pytest pair-for-pair against the live reference instead."""
-    from raydedup.pipeline import DedupConfig, dedup_pipeline
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    cfg = DedupConfig(
-        id_col="doc_id",
-        text_col="text",
-        phash_col=None,
-        use_substring=False,
-        use_exact=True,
-        hashfunc="md5",
-    )
-    out = dedup_pipeline(ds, cfg)
-    clusters = out["clusters"]
-    if not isinstance(clusters, pa.Table):
-        clusters = pa.concat_tables(list(clusters.iter_batches(batch_format="pyarrow")))
-    return clusters.rename_columns(["doc_id", "cluster_id"])
+    return _collect(_doc_clusters(sf_dir, "md5")).rename_columns(["doc_id", "cluster_id"])
 
 
-QUERIES["minhash_clusters_md5"] = q_minhash_clusters_md5
-
-
+@query
 def q_cluster_representatives(sf_dir: str):
     """Quality-aware canonicalization — the step a training pipeline
     runs AFTER near-dup clustering: one representative per cluster,
@@ -2144,19 +2105,9 @@ def q_cluster_representatives(sf_dir: str):
     representative selection in SQL)."""
     import ray.data as rd
 
-    from raydedup.pipeline import DedupConfig, dedup_pipeline
     from raydedup.stages.grouped import auto_partitions, map_key_runs
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    cfg = DedupConfig(
-        id_col="doc_id",
-        text_col="text",
-        phash_col=None,
-        use_substring=False,
-        use_exact=True,
-        hashfunc="md5",
-    )
-    clusters = dedup_pipeline(ds, cfg)["clusters"]
+    clusters = _doc_clusters(sf_dir, "md5")
     if isinstance(clusters, pa.Table):
         clusters = rd.from_arrow(clusters)
 
@@ -2243,9 +2194,6 @@ def q_cluster_representatives(sf_dir: str):
     return map_key_runs(labeled, "cluster_id", pick_rep, num_partitions=nparts, min_run=1)
 
 
-QUERIES["cluster_representatives"] = q_cluster_representatives
-
-
 # ------------------------------------------------ image-payload pipelines
 def _synth_images_path(n_base: int = 400) -> str:
     """Deterministic synthetic image+caption table (input_hint schema),
@@ -2266,6 +2214,7 @@ def _synth_images_path(n_base: int = 400) -> str:
     return path
 
 
+@query
 def q_image_dedup_synth(sf_dir: str):
     """Full fused image pipeline (MinHash captions ∪ SimHash phash ∪
     exact ∪ substring → components) over the synthetic image corpus;
@@ -2277,23 +2226,17 @@ def q_image_dedup_synth(sf_dir: str):
 
     ensure_hash_shuffle()
     ds = rd.read_parquet(_synth_images_path(), columns=["image_id", "caption", "phash"])
-    out = dedup_pipeline(ds, DedupConfig(num_partitions=8))
-    clusters = out["clusters"]
-    if not isinstance(clusters, pa.Table):
-        clusters = pa.concat_tables(list(clusters.iter_batches(batch_format="pyarrow")))
-    return clusters
+    return _collect(dedup_pipeline(ds, DedupConfig(num_partitions=8))["clusters"])
 
 
+@query
 def q_image_features_synth(sf_dir: str):
     """Multimodal decode path: actor-pool decode of every payload
     (raw / png / jpeg+EXIF / gif / webp / bmp / tiff / ico) emitting
-    phash recheck + channel means. SELF-VERIFYING: the stored phash
-    column must be reproduced bit-exactly for every decodable row, and
-    decode_ok must be False for EXACTLY the corpus's planted corrupt
-    blobs (the last three rows — valid metadata, undecodable bytes):
-    a hardened stage flags storage-truncated payloads instead of
-    dying, and a codec regression cannot hide behind the flag.
-    Rows-only."""
+    phash recheck + channel means. A hardened stage flags
+    storage-truncated payloads (``decode_ok`` False) instead of dying.
+    Rows-only; ``oracles.VERIFIERS["image_features_synth"]`` checks the
+    phash bit-exactly and the flags against the planted corrupt blobs."""
     import ray.data as rd
 
     from raydedup.stages.grouped import ensure_hash_shuffle
@@ -2309,23 +2252,8 @@ def q_image_features_synth(sf_dir: str):
         num_cpus=1,
         max_restarts=0,
     )
-    out = pa.concat_tables(list(feats.iter_batches(batch_format="pyarrow")))
-    stored = pa.concat_tables(
-        list(
-            rd.read_parquet(
-                _synth_images_path(), columns=["image_id", "phash"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    j = out.join(stored, keys=["image_id"]).sort_by("image_id")
-    ok = np.asarray(j.column("decode_ok"))
-    bad_ids = {r for r, o in zip(j.column("image_id").to_pylist(), ok) if not o}
-    expect_bad = set(sorted(stored.column("image_id").to_pylist())[-3:])
-    assert bad_ids == expect_bad, (bad_ids, expect_bad)
-    got = np.asarray(j.column("phash_check"))[ok]
-    want = np.asarray(j.column("phash"))[ok]
-    assert np.array_equal(got, want), "decoded phash diverges from stored"
-    return j.select(["image_id", "phash_check", "decode_ok"])
+    out = _collect(feats).select(["image_id", "phash_check", "decode_ok"])
+    return out.sort_by("image_id")
 
 
 def _synth_media_path(kind: str, n: int) -> str:
@@ -2345,12 +2273,14 @@ def _synth_media_path(kind: str, n: int) -> str:
     return path
 
 
+@query
 def q_audio_features_synth(sf_dir: str):
     """Compressed-audio decode path: actor-pool feature extraction over
     pcm16 / wav(IMA ADPCM) / µ-law / A-law / FLAC / AIFF / AU payloads.
-    Self-verifying: every row must decode and reproduce the original
-    signal's RMS within 2% (the companding error bound; FLAC and AIFF
-    are lossless and land exactly). Rows-only."""
+    Rows-only; ``oracles.VERIFIERS["audio_features_synth"]`` checks that
+    every row decodes and reproduces the original signal's RMS within
+    2% (the companding error bound; FLAC and AIFF are lossless)."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from raydedup.stages.grouped import ensure_hash_shuffle
@@ -2366,30 +2296,23 @@ def q_audio_features_synth(sf_dir: str):
         num_cpus=1,
         max_restarts=0,
     )
-    expected = rd.read_parquet(
-        _synth_media_path("audio", 200), columns=["audio_id", "expected_rms", "codec"]
-    )
-    out = pa.concat_tables(list(feats.iter_batches(batch_format="pyarrow")))
-    exp = pa.concat_tables(list(expected.iter_batches(batch_format="pyarrow")))
-    joined = out.join(exp, keys=["audio_id"])
-    assert pc.all(joined.column("decode_ok")).as_py(), "audio decode failed"
-    rms = joined.column("rms").to_numpy()
-    want = joined.column("expected_rms").to_numpy()
-    assert np.all(np.abs(rms - want) <= 0.02 * want + 1e-9), "RMS out of companding bound"
-    return joined.select(["audio_id", "codec", "zero_crossings", "decode_ok"]).sort_by(
+    codecs = pq.read_table(_synth_media_path("audio", 200), columns=["audio_id", "codec"])
+    joined = _collect(feats).join(codecs, keys=["audio_id"])
+    return joined.select(["audio_id", "codec", "rms", "zero_crossings", "decode_ok"]).sort_by(
         "audio_id"
     )
 
 
+@query
 def q_video_frames_synth(sf_dir: str):
     """Compressed-video frame-sampling path: MJPEG (real from-scratch
     JPEG codec), rawvideo, animated-GIF (real GIF89a codec, composited
     per disposal semantics) and MJPG-in-AVI payloads (RIFF container
     walk — sampled frames come from '00dc' chunks with no marker scan)
-    flat-mapped to sampled frames.
-    Self-verifying bit-exactly: each decoded frame's phash64 must equal
-    the stored round-tripped phash (the decoded-pixels invariant).
-    Rows-only."""
+    flat-mapped to sampled frames, each with the phash64 of its decoded
+    pixels. Rows-only; ``oracles.VERIFIERS["video_frames_synth"]``
+    checks every phash bit-exactly against the stored round-tripped
+    phash (the decoded-pixels invariant)."""
     import ray.data as rd
 
     from raydedup.media import phash64
@@ -2410,28 +2333,15 @@ def q_video_frames_synth(sf_dir: str):
         num_cpus=1,
         max_restarts=0,
     )
-    out = pa.concat_tables(list(frames.iter_batches(batch_format="pyarrow")))
-    truth = pa.parquet.read_table(
-        _synth_media_path("video", 40), columns=["video_id", "frame_phashes"]
-    )
-    want = {
-        vid: phl
-        for vid, phl in zip(
-            truth.column("video_id").to_pylist(), truth.column("frame_phashes").to_pylist()
+    out = _collect(frames)
+    ph_checks = [
+        phash64(np.frombuffer(blob, dtype=np.uint8).reshape(h, w, 3))
+        for blob, w, h in zip(
+            out.column("frame_bytes").to_pylist(),
+            out.column("w").to_pylist(),
+            out.column("h").to_pylist(),
         )
-    }
-    ph_checks = []
-    for vid, idx, blob, w, h in zip(
-        out.column("video_id").to_pylist(),
-        out.column("frame_idx").to_pylist(),
-        out.column("frame_bytes").to_pylist(),
-        out.column("w").to_pylist(),
-        out.column("h").to_pylist(),
-    ):
-        px = np.frombuffer(blob, dtype=np.uint8).reshape(h, w, 3)
-        got = phash64(px)
-        assert got == want[vid][idx // 5], f"phash mismatch {vid}[{idx}]"
-        ph_checks.append(got)
+    ]
     return pa.table(
         {
             "video_id": out.column("video_id"),
@@ -2441,18 +2351,16 @@ def q_video_frames_synth(sf_dir: str):
     ).sort_by([("video_id", "ascending"), ("frame_idx", "ascending")])
 
 
+@query
 def q_image_thumbs_synth(sf_dir: str):
     """Thumbnail/resize path (the brief's multimodal resize stage):
     actor-pool ResizeStage over every payload → fixed-width 16×16×3
-    rasters. Rows-only, SELF-VERIFYING: a driver-side sample is
-    decoded + resized with the same kernel and must match the
-    distributed output byte-for-byte, every thumb is exactly
-    16*16*3 bytes, and thumb means track the corpus (fixed-width
-    output is what keeps downstream batches dense at 100 TB)."""
-    import numpy as np
+    rasters (fixed-width output is what keeps downstream batches dense
+    at 100 TB). Rows-only; ``oracles.VERIFIERS["image_thumbs_synth"]``
+    checks every thumb's width and a sample byte-for-byte against the
+    same kernel run on the driver."""
     import ray.data as rd
 
-    from raydedup.media import decode_image, resize_image
     from raydedup.stages.grouped import ensure_hash_shuffle
     from raydedup.stages.media import ResizeStage
 
@@ -2467,46 +2375,25 @@ def q_image_thumbs_synth(sf_dir: str):
         num_cpus=1,
         max_restarts=0,
     )
-    thumbs = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
-    n = thumbs.num_rows
-    lens = np.array([len(b) for b in thumbs.column("thumb").to_pylist()[:256]])
-    assert (lens == 16 * 16 * 3).all(), "thumb payloads must be fixed-width"
-    # sample parity: distributed stage output == local kernel output
-    got = {
-        i: t for i, t in zip(
-            thumbs.column("image_id").to_pylist()[:32],
-            thumbs.column("thumb").to_pylist()[:32],
-        )
-    }
-    src = pa.concat_tables(
-        list(ds.limit(512).iter_batches(batch_format="pyarrow"))
-    ).to_pylist()
-    checked = 0
-    for row in src:
-        if row["image_id"] in got:
-            img = decode_image(row["bytes"], row["w"], row["h"], row["fmt"])
-            assert resize_image(img, 16, 16).tobytes() == got[row["image_id"]]
-            checked += 1
-    assert checked > 0, "sample parity check must cover at least one row"
-    return thumbs.select(["image_id", "thumb_w", "thumb_h"])
+    return _collect(out).select(["image_id", "thumb", "thumb_w", "thumb_h"])
 
 
+@query
 def q_image_stream_dedup(sf_dir: str):
     """STREAMING image dedup: the corpus arrives in order through a
     sharded online :class:`raydedup.session.PhashSession` (the live
     counterpart of the batch SimHash band path) — each chunk is
     Hamming-verified against everything ingested before it, then
     ingested itself; an image is a dup if some earlier image sits
-    within the banded Hamming budget. SELF-VERIFYING: the flags must
-    equal a brute-force prefix-Hamming sweep on the driver (exact
-    ground truth at corpus scale). Rows-only."""
-    import numpy as np
+    within the banded Hamming budget. Rows come back in arrival order.
+    Rows-only; ``oracles.VERIFIERS["image_stream_dedup"]`` checks the
+    flags against a brute-force prefix-Hamming sweep."""
     import ray.data as rd
 
     from raydedup.session import PhashSession
 
     ds = rd.read_parquet(_synth_images_path(), columns=["image_id", "phash"])
-    t = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
+    t = _collect(ds)
     ids = t.column("image_id").to_pylist()
     ph = np.array(t.column("phash").to_pylist(), dtype=np.int64)
     sess = PhashSession(num_shards=4)
@@ -2527,17 +2414,6 @@ def q_image_stream_dedup(sf_dir: str):
                 others = set(h) - {ids[lo + k]}
                 if others & set(ids[lo : lo + k]):
                     flags[lo + k] = True
-    # exact ground truth: any earlier image within Hamming <= 3
-    x = ph.view(np.uint64)
-    want = np.zeros(len(ids), dtype=bool)
-    for i in range(1, len(ids)):
-        xx = x[:i] ^ x[i]
-        d = np.zeros(i, dtype=np.int64)
-        while xx.any():
-            d += (xx & np.uint64(1)).astype(np.int64)
-            xx = xx >> np.uint64(1)
-        want[i] = bool((d <= 3).any())
-    assert np.array_equal(flags, want), "streaming flags diverge from ground truth"
     return pa.table(
         {
             "image_id": pa.array(ids, pa.string()),
@@ -2546,18 +2422,7 @@ def q_image_stream_dedup(sf_dir: str):
     )
 
 
-QUERIES.update(
-    {
-        "image_dedup_synth": q_image_dedup_synth,
-        "image_features_synth": q_image_features_synth,
-        "image_thumbs_synth": q_image_thumbs_synth,
-        "image_stream_dedup": q_image_stream_dedup,
-        "audio_features_synth": q_audio_features_synth,
-        "video_frames_synth": q_video_frames_synth,
-    }
-)
-
-
+@query
 def q_bloom_dedup_filter(sf_dir: str):
     """Space-bounded membership dedup (LSHBloom parity — reference
     ``lsh_bloom.py:240-366``): build per-band Bloom filters over the
@@ -2566,16 +2431,14 @@ def q_bloom_dedup_filter(sf_dir: str):
     corpus), broadcast the filter once via ``ray.put``, and flag every
     ODD doc whose signature collides in any band.
 
-    Rows-only for the driver, but SELF-VERIFYING against the engine's
-    exact band semi-join (the semantics LSHBloom approximates): asserts
-    ZERO false negatives — the Bloom contract — and a false-positive
-    count within the configured ``fp`` budget. The verification sets
-    are output-scale (≤ one row per query doc), not corpus-scale."""
+    Rows-only; ``oracles.VERIFIERS["bloom_dedup_filter"]`` checks the
+    flags against the exact band semi-join (the semantics LSHBloom
+    approximates): ZERO false negatives — the Bloom contract — and a
+    false-positive count within the configured ``fp`` budget."""
     import ray
 
-    from raydedup.bloom import BloomDedupStage, band_values, build_band_bloom
-    from raydedup.schema import sig_to_numpy
-    from raydedup.stages.grouped import auto_partitions, map_key_runs, staged
+    from raydedup.bloom import BloomDedupStage, build_band_bloom
+    from raydedup.stages.grouped import staged
     from raydedup.stages.signatures import SignatureStage
 
     b, r, fp = 16, 8, 1e-4
@@ -2602,10 +2465,10 @@ def q_bloom_dedup_filter(sf_dir: str):
         return f
 
     ref_sigs = sig_ds.map_batches(_half(True), batch_format="pyarrow")
-    qry_sigs = staged(sig_ds.map_batches(_half(False), batch_format="pyarrow"))
+    qry_sigs = sig_ds.map_batches(_half(False), batch_format="pyarrow")
 
     filt = build_band_bloom(ref_sigs, b, r, n_items=max(1000, n_total), fp=fp)
-    flags = (
+    return (
         qry_sigs.map_batches(
             BloomDedupStage,
             fn_constructor_kwargs=dict(filter_ref=ray.put(filt.serialize())),
@@ -2620,49 +2483,8 @@ def q_bloom_dedup_filter(sf_dir: str):
         .reset_index(drop=True)
     )
 
-    # ---- exact band semi-join (ground truth the filter approximates)
-    def _explode(side: int):
-        def f(t: pa.Table) -> pa.Table:
-            sig = sig_to_numpy(t.column("minhash"))
-            bv = band_values(sig, b, r)
-            n = len(t)
-            return pa.table(
-                {
-                    "band": pa.array(np.tile(np.arange(b, dtype=np.int64), n)),
-                    "val": pa.array(bv.reshape(-1)),
-                    "qid": pa.array(np.repeat(t.column("doc_id").to_numpy(zero_copy_only=False), b)),
-                    "s": pa.array(np.full(n * b, side, dtype=np.int8)),
-                }
-            )
-        return f
 
-    both = ref_sigs.map_batches(_explode(0), batch_format="pyarrow").union(
-        qry_sigs.map_batches(_explode(1), batch_format="pyarrow")
-    )
-
-    def emit(block: pa.Table, starts, ends):
-        if len(starts) == 0:
-            return pa.table({"qid": pa.array([], pa.int64())})
-        L = ends - starts
-        pos = np.arange(L.sum()) - np.repeat(np.cumsum(L) - L, L) + np.repeat(starts, L)
-        s = block.column("s").to_numpy(zero_copy_only=False)[pos]
-        off = np.concatenate(([0], np.cumsum(L)[:-1]))
-        has_ref = np.add.reduceat(s == 0, off) > 0
-        take = pos[(s == 1) & np.repeat(has_ref, L)]
-        return pa.table({"qid": block.column("qid").take(pa.array(take))})
-
-    exact_rows = map_key_runs(both, ["band", "val"], emit, auto_partitions(n_total * b)).take_all()
-    exact_ids = {row["qid"] for row in exact_rows}
-    bloom_ids = set(flags.loc[flags["is_dup"], "doc_id"])
-    assert exact_ids <= bloom_ids, f"Bloom false negatives: {sorted(exact_ids - bloom_ids)[:5]}"
-    budget = max(5, int(3 * b * fp * len(flags)))
-    assert len(bloom_ids - exact_ids) <= budget, (len(bloom_ids - exact_ids), budget)
-    return flags
-
-
-QUERIES["bloom_dedup_filter"] = q_bloom_dedup_filter
-
-
+@query
 def q_lsh_session_dedup(sf_dir: str):
     """Streaming first-seen dedup through the ONLINE LSH index
     (``raydedup.session.MinHashLshSession`` — reference
@@ -2721,10 +2543,8 @@ def q_lsh_session_dedup(sf_dir: str):
         sess.shutdown()
 
 
-QUERIES["lsh_session_dedup"] = q_lsh_session_dedup
-
-
 # ------------------------------------------- corpus statistics / cleaning
+@query
 def q_length_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     """Exact grouped quantiles by distributed histogramming: blocks
     pre-aggregate ``(source, n_chars) → count`` (the map-side
@@ -2786,7 +2606,6 @@ def q_length_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     )
 
 
-QUERIES["length_quantiles"] = q_length_quantiles
 ORACLES["length_quantiles"] = """
     SELECT source,
            CAST(count(*) AS BIGINT) AS n_docs,
@@ -2797,6 +2616,7 @@ ORACLES["length_quantiles"] = """
 """
 
 
+@query
 def q_normalize_docs(sf_dir: str):
     """Text normalization — the cleaning pass a training pipeline runs
     BEFORE dedup (lowercase, collapse whitespace, drop stopwords):
@@ -2831,7 +2651,6 @@ def q_normalize_docs(sf_dir: str):
 _STOP_SQL = ", ".join(f"'{w}'" for w in sorted(
     "the a an and or of to in is are was were be been it this that with for on as at by".split()
 ))
-QUERIES["normalize_docs"] = q_normalize_docs
 ORACLES["normalize_docs"] = rf"""
     SELECT doc_id,
            array_to_string(
@@ -2842,6 +2661,7 @@ ORACLES["normalize_docs"] = rf"""
 """
 
 
+@query
 def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16):
     """SemDeDup-style semantic deduplication (Abbas et al. 2023,
     arXiv:2303.09540): spherical k-means clusters the embedding space
@@ -2853,14 +2673,11 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16
     > threshold (one gram matrix + upper-triangle reduction per cell —
     the all-pairs work is confined to cells, never the corpus).
 
-    Rows-only for the driver (k-means float iteration is not
-    SQL-reproducible — same class as ``ivf_topk``); SELF-VERIFYING:
-    the distributed flags are asserted equal to a single-process numpy
-    evaluation of the identical rule at test scale, and the
-    cross-cell miss risk is inherent to the method (the paper's
-    trade-off), not to this execution."""
-    import ray
-
+    Rows-only (k-means float iteration is not SQL-reproducible — same
+    class as ``ivf_topk``); ``oracles.VERIFIERS["semantic_dedup"]``
+    checks the flags against a single-process numpy evaluation of the
+    identical rule. The cross-cell miss risk is inherent to the method
+    (the paper's trade-off), not to this execution."""
     from raydedup.stages.ann import _emb_matrix, _normalize, add_ivf_cell, build_ivf_centroids
     from raydedup.stages.grouped import auto_partitions, map_key_runs
 
@@ -2894,7 +2711,7 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16
     from raydedup.stages.grouped import meta_count
 
     n_rows_in = meta_count(ds)  # cell-assign is row-preserving: exact bound
-    res = map_key_runs(
+    return map_key_runs(
         cds,
         "cell",
         runs,
@@ -2903,33 +2720,8 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16
         approx_rows=n_rows_in,
     )
 
-    # self-verify: single-process evaluation of the identical rule
-    # (deterministic centroids → identical cells → identical flags).
-    # Size-gated: the check is a test/bench-scale assertion — above the
-    # gate the distributed result streams through untouched (same class
-    # as the recall assertions in ivf_topk / hnsw_topk).
-    if not (n_rows_in is None or n_rows_in <= 50_000):
-        return res
-    out = pa.concat_tables(list(res.iter_batches(batch_format="pyarrow")))
-    full = pa.concat_tables(list(cds.iter_batches(batch_format="pyarrow")))
-    ids = full.column("vec_id").to_numpy()
-    cells = full.column("cell").to_numpy()
-    m = _normalize(_emb_matrix(full, "embedding"))
-    want = np.zeros(len(full), dtype=bool)
-    for c in np.unique(cells):
-        sel = np.where(cells == c)[0]
-        sel = sel[np.argsort(ids[sel], kind="stable")]
-        sim = m[sel] @ m[sel].T
-        want[sel] = np.triu(sim > threshold, k=1).any(axis=0)
-    got_map = dict(zip(out.column("vec_id").to_pylist(), out.column("is_dup").to_pylist()))
-    want_map = dict(zip(ids.tolist(), want.astype(int).tolist()))
-    assert got_map == want_map, "semantic_dedup distributed/local mismatch"
-    return out.sort_by("vec_id")
 
-
-QUERIES["semantic_dedup"] = q_semantic_dedup
-
-
+@query
 def q_top_docs_per_source(sf_dir: str, k: int = 3):
     """Grouped top-N (the window-function ``row_number() ≤ k``): blocks
     pre-select their own per-source top-k (the combiner — at most
@@ -2969,7 +2761,6 @@ def q_top_docs_per_source(sf_dir: str, k: int = 3):
     return merge_key_groups(ds, "source", group_fn)
 
 
-QUERIES["top_docs_per_source"] = q_top_docs_per_source
 ORACLES["top_docs_per_source"] = """
     SELECT source, doc_id, n_chars, CAST(rn AS BIGINT) AS rank FROM (
       SELECT source, doc_id, n_chars,
@@ -2980,6 +2771,7 @@ ORACLES["top_docs_per_source"] = """
 """
 
 
+@query
 def q_uniform_sample_docs(sf_dir: str, k: int = 100):
     """Deterministic uniform corpus sample via hash-bottom-k (the
     distributed, reproducible replacement for ``ORDER BY random()
@@ -3015,7 +2807,6 @@ def q_uniform_sample_docs(sf_dir: str, k: int = 100):
     return tail.repartition(1).map_batches(final, batch_size=None, batch_format="pyarrow")
 
 
-QUERIES["uniform_sample_docs"] = q_uniform_sample_docs
 ORACLES["uniform_sample_docs"] = """
     WITH h AS (
       SELECT doc_id,
@@ -3031,6 +2822,7 @@ ORACLES["uniform_sample_docs"] = """
 """
 
 
+@query
 def q_price_quantiles_sketch(sf_dir: str, qs: tuple = (0.01, 0.25, 0.5, 0.75, 0.99), k: int = 256):
     """Approximate quantiles of ``l_extendedprice`` via the mergeable
     KLL/MRL compactor sketch (``raydedup/quantile.py``) — the
@@ -3038,65 +2830,29 @@ def q_price_quantiles_sketch(sf_dir: str, qs: tuple = (0.01, 0.25, 0.5, 0.75, 0.
     continuous domains: partial sketch per block, pairwise merge, tiny
     final state (~k·log(n/k) floats) on the driver.
 
-    Rows-only for the driver (retained values move WITHIN the error
-    bound with Ray's nondeterministic merge order); SELF-VERIFYING with
-    exact distributed rank counts: one counting pass computes
-    ``#rows < x`` / ``#rows ≤ x`` for every estimated quantile x (the
-    per-batch partials are 2·|qs| integers — nothing data-sized leaves
-    the workers), and the query asserts the true rank interval lies
-    within the sketch's provable per-state ``rank_error_bound()``
-    (+ the same bound again for retained-weight drift) of ``q·n``."""
-    import ray
-
+    Rows-only (retained values move WITHIN the error bound with Ray's
+    nondeterministic merge order);
+    ``oracles.VERIFIERS["price_quantiles_sketch"]`` checks each
+    estimate's exact rank interval against ``q·n`` within the sketch's
+    provable per-state ``rank_error_bound()`` (+ the same bound again
+    for retained-weight drift)."""
     from raydedup.quantile import KllSketch, kll_aggregate_fn
 
     ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
     st = ds.aggregate(kll_aggregate_fn("l_extendedprice", k=k, alias_name="kll_price"))
     sk = KllSketch.from_bytes(st["kll_price"])
     est = sk.quantiles(qs)
-    bound = sk.rank_error_bound()
-
-    thr = ray.put(np.ascontiguousarray(est))
-
-    def counts(batch: pa.Table) -> pa.Table:
-        x = np.sort(batch.column("l_extendedprice").to_numpy(zero_copy_only=False))
-        t = ray.get(thr)
-        return pa.table(
-            {
-                "i": pa.array(np.arange(len(t)), pa.int64()),
-                "le": pa.array(np.searchsorted(x, t, side="right"), pa.int64()),
-                "lt": pa.array(np.searchsorted(x, t, side="left"), pa.int64()),
-            }
-        )
-
-    partials = pa.concat_tables(
-        list(ds.map_batches(counts, batch_format="pyarrow").iter_batches(batch_format="pyarrow"))
-    )
-    idx = partials.column("i").to_numpy()
-    le = np.bincount(idx, weights=partials.column("le").to_numpy(), minlength=len(est)).astype(np.int64)
-    lt = np.bincount(idx, weights=partials.column("lt").to_numpy(), minlength=len(est)).astype(np.int64)
-    n = sk.n
-    slack = 2 * bound + 1  # rank error + retained-weight drift
-    for q, r_le, r_lt in zip(qs, le, lt):
-        target = q * n
-        assert r_le >= target - slack and r_lt <= target + slack, (
-            f"KLL rank error beyond bound at q={q}: lt={r_lt} le={r_le} "
-            f"target={target} slack={slack}"
-        )
     return pa.table(
         {
             "q": pa.array(list(qs), pa.float64()),
             "est_price": pa.array(est, pa.float64()),
-            "rank_le": pa.array(le, pa.int64()),
-            "n": pa.array([n] * len(est), pa.int64()),
-            "rank_error_bound": pa.array([bound] * len(est), pa.int64()),
+            "n": pa.array([sk.n] * len(est), pa.int64()),
+            "rank_error_bound": pa.array([sk.rank_error_bound()] * len(est), pa.int64()),
         }
     )
 
 
-QUERIES["price_quantiles_sketch"] = q_price_quantiles_sketch
-
-
+@query
 def q_source_similarity(sf_dir: str):
     """Corpus-level similarity matrix between sources — the data-mixing
     question ('how much do two collections overlap?') answered with
@@ -3145,13 +2901,11 @@ def q_source_similarity(sf_dir: str):
     )
 
 
-QUERIES["source_similarity"] = q_source_similarity
-
-
 _LINE_DELIM = " a "  # corpus-visible stand-in for '\n' (the synthetic
 # captions carry no newlines); the operator is delimiter-parametric.
 
 
+@query
 def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3):
     """C4/RefinedWeb-style LINE-level exact dedup: drop every line whose
     exact text occurs ≥ ``min_count`` times corpus-wide, re-emit each
@@ -3305,7 +3059,6 @@ def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3)
 
 
 _DELIM_SQL = _LINE_DELIM.replace("'", "''")
-QUERIES["line_dedup_docs"] = q_line_dedup_docs
 ORACLES["line_dedup_docs"] = f"""
     WITH lines AS (
       SELECT doc_id,
@@ -3325,6 +3078,7 @@ ORACLES["line_dedup_docs"] = f"""
 """
 
 
+@query
 def q_event_debounce(sf_dir: str, ttl_us: int = 3_600_000_000):
     """TTL-debounce dedup over the event stream: flag an event when the
     PREVIOUS event with the same (user_id, event_type) is within
@@ -3390,7 +3144,6 @@ def q_event_debounce(sf_dir: str, ttl_us: int = 3_600_000_000):
     )
 
 
-QUERIES["event_debounce"] = q_event_debounce
 ORACLES["event_debounce"] = """
     SELECT event_id,
            CAST(CASE WHEN epoch_us(ts) - lag(epoch_us(ts)) OVER
@@ -3401,6 +3154,7 @@ ORACLES["event_debounce"] = """
 """
 
 
+@query
 def q_heavy_hitter_terms(sf_dir: str, k: int = 64, topm: int = 10):
     """Corpus heavy hitters via the mergeable Misra–Gries summary
     (``raydedup/heavyhitters.py``) — the bounded-memory path
@@ -3409,17 +3163,12 @@ def q_heavy_hitter_terms(sf_dir: str, k: int = 64, topm: int = 10):
     counters, merged pairwise; only the tiny final state reaches the
     driver.
 
-    Rows-only for the driver (retained-counter values depend on Ray's
-    merge order WITHIN the tracked bound); SELF-VERIFYING twice over:
-    (1) one broadcast counting pass computes the EXACT count of every
-    reported term and asserts the MG guarantee stored ≤ exact ≤ stored
-    + dec per item; (2) the exact global top terms (computed from the
-    same staged partials) with count > dec are asserted present in the
-    summary — the frequent-items completeness guarantee."""
-    import ray
-
+    Rows-only (retained-counter values depend on Ray's merge order
+    WITHIN the tracked bound); ``oracles.VERIFIERS["heavy_hitter_terms"]``
+    checks the Misra–Gries guarantees against exact counts: est ≤ exact
+    ≤ est + dec per reported term, and no unreported term above
+    min(est) + dec."""
     from raydedup.heavyhitters import MisraGries, mg_aggregate_fn
-    from raydedup.stages.grouped import staged
 
     def explode_counts(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.utf8_split_whitespace(batch.column("text")))
@@ -3427,74 +3176,22 @@ def q_heavy_hitter_terms(sf_dir: str, k: int = 64, topm: int = 10):
         vc = toks.value_counts()
         return pa.table({"token": vc.field(0), "n_part": vc.field(1)})
 
-    pre = staged(
-        _read(sf_dir, "documents", columns=["text"]).map_batches(
-            explode_counts, batch_format="pyarrow"
-        )
+    pre = _read(sf_dir, "documents", columns=["text"]).map_batches(
+        explode_counts, batch_format="pyarrow"
     )
     st = pre.aggregate(mg_aggregate_fn("token", "n_part", k=k, alias_name="mg_terms"))
     sk = MisraGries.from_bytes(st["mg_terms"])
     cand = sk.top(topm)
-    terms = [tb.decode("utf-8") for tb, _ in cand]
     stored = np.array([c for _, c in cand], dtype=np.int64)
-
-    # (1) exact counts of the reported terms: broadcast the candidate
-    # list once, sum aligned per-block partials (|terms| ints per block)
-    tref = ray.put(pa.array(terms, pa.string()))
-
-    def exact_counts(batch: pa.Table) -> pa.Table:
-        tl = ray.get(tref)
-        code = (
-            pc.fill_null(pc.index_in(batch.column("token"), value_set=tl), -1)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        w = batch.column("n_part").to_numpy(zero_copy_only=False)
-        m = code >= 0
-        cnt = np.bincount(code[m], weights=w[m], minlength=len(tl)).astype(np.int64)
-        return pa.table({"i": pa.array(np.arange(len(tl)), pa.int64()), "c": pa.array(cnt)})
-
-    parts = pa.concat_tables(
-        list(pre.map_batches(exact_counts, batch_format="pyarrow").iter_batches(batch_format="pyarrow"))
-    )
-    exact = np.bincount(
-        parts.column("i").to_numpy(), weights=parts.column("c").to_numpy(), minlength=len(terms)
-    ).astype(np.int64)
-    assert np.all(stored <= exact) and np.all(exact <= stored + sk.dec), (
-        "Misra-Gries per-item guarantee violated",
-        terms,
-        stored.tolist(),
-        exact.tolist(),
-        sk.dec,
-    )
-
-    # (2) completeness: every exact top term with count > dec must be
-    # retained in the summary (dropped items have true count ≤ dec)
-    exact_top = _sum_by_keys(pre, ["token"], "n_part", "n")
-
-    def block_topk(t: pa.Table) -> pa.Table:
-        order = pc.sort_indices(t, sort_keys=[("n", "descending"), ("token", "ascending")])
-        return t.take(order[:topm])
-
-    heads = exact_top.map_batches(block_topk, batch_format="pyarrow").take_all()
-    retained = set(sk.items.keys())
-    for r in heads:
-        if r["n"] > sk.dec:
-            assert r["token"].encode("utf-8") in retained, (r, sk.dec)
-
     return pa.table(
         {
-            "term": pa.array(terms, pa.string()),
+            "term": pa.array([tb.decode("utf-8") for tb, _ in cand], pa.string()),
             "est_count": pa.array(stored, pa.int64()),
             "upper_bound": pa.array(stored + sk.dec, pa.int64()),
-            "exact_count": pa.array(exact, pa.int64()),
-            "dec_total": pa.array(np.full(len(terms), sk.dec), pa.int64()),
-            "n_tokens": pa.array(np.full(len(terms), sk.n), pa.int64()),
+            "dec_total": pa.array(np.full(len(cand), sk.dec), pa.int64()),
+            "n_tokens": pa.array(np.full(len(cand), sk.n), pa.int64()),
         }
     )
-
-
-QUERIES["heavy_hitter_terms"] = q_heavy_hitter_terms
 
 
 # ---------------------------------------------- generated sketch oracles

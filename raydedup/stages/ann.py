@@ -373,7 +373,15 @@ def build_ivf_centroids(ds, emb_col: str = "embedding", n_centroids: int = 64, s
     iterations on normalized vectors (spherical k-means-ish: cosine
     assignment, mean re-center)."""
     sample = ds.select_columns([emb_col]).limit(sample_rows).take_all()
-    m = _normalize(np.asarray([r[emb_col] for r in sample], dtype=np.float64))
+    m = np.asarray([r[emb_col] for r in sample], dtype=np.float64)
+    return spherical_kmeans(m, n_centroids, iters, seed)
+
+
+def spherical_kmeans(m: np.ndarray, n_centroids: int, iters: int = 10, seed: int = 5) -> np.ndarray:
+    """Seeded Lloyd iterations over the rows of ``m`` (normalized here):
+    cosine assignment, mean re-center. A function of the row SET, not
+    its order."""
+    m = _normalize(m)
     # canonicalize the sample order: take_all's block order is an
     # execution accident, and rng.choice picks INDICES — without this
     # sort the "seeded" k-means differed run to run on identical data

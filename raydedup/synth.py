@@ -477,8 +477,8 @@ def make_audio_table(n: int = 200, seed: int = 11, rate: int = 16000) -> pa.Tabl
     is a two-tone + noise signal encoded as one of pcm16 / wav(IMA
     ADPCM, mono or stereo) / ulaw / alaw / flac / aiff / au, with the
     ORIGINAL (stereo: downmixed) signal's RMS stored
-    as ``expected_rms`` so feature extraction self-verifies (companded
-    codecs reproduce RMS within ~2%; FLAC is lossless — exact)."""
+    as ``expected_rms`` so a verifier can check feature extraction
+    (companded codecs reproduce RMS within ~2%; FLAC is lossless — exact)."""
     from raydedup import audio
 
     codecs = ["pcm16", "wav", "ulaw", "alaw", "flac", "aiff", "au", "wav_stereo"]
@@ -508,7 +508,7 @@ def make_audio_table(n: int = 200, seed: int = 11, rate: int = 16000) -> pa.Tabl
             blob = audio.encode_au_ulaw(pcm, rate)  # µ-law companded
         elif codec == "wav_stereo":
             # stereo IMA ADPCM: R = attenuated phase-shifted copy; the
-            # stage downmixes (mean), so the self-verify target is the
+            # stage downmixes (mean), so the verified target is the
             # DOWNMIXED signal's RMS
             right = np.clip(pcm.astype(np.int32) * 2 // 3, -32768, 32767).astype(np.int16)
             lr = np.stack([pcm, np.roll(right, 7)], axis=1)
@@ -540,7 +540,7 @@ def make_videos_table(n: int = 40, seed: int = 13, w: int = 48, h: int = 32) -> 
     """Deterministic video corpus: cycling mjpeg (real lossy codec),
     rawvideo and animated-gif payloads of drifting-gradient frames. Stores
     the phash64 of each ROUND-TRIPPED sampled frame (every 5th, ≤4) as
-    ``frame_phashes`` so the sampling+decode path self-verifies
+    ``frame_phashes`` so a verifier can check the sampling+decode path
     bit-exactly — the same decoded-pixels-invariant pattern the image
     corpus uses for its JPEG slice."""
     from raydedup.gif import decode_gif, encode_gif_rgb8

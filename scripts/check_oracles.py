@@ -1,6 +1,7 @@
 """Driver-style correctness check: run every queries() entry at a given
 sf_dir and compare against oracle_sql() via DuckDB (row count, schema
-names, order-insensitive value hash). Usage:
+names, order-insensitive value hash); a rows-only query with an entry in
+``raydedup.oracles.VERIFIERS`` runs its verifier instead. Usage:
 
     python scripts/check_oracles.py [sf_dir] [query ...]
 """
@@ -52,6 +53,8 @@ def main():
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry_mod
 
+    from raydedup.oracles import VERIFIERS
+
     qs = entry_mod.queries()
     oracles = entry_mod.oracle_sql()
 
@@ -72,7 +75,16 @@ def main():
             continue
         wall = time.time() - t0
         if name not in oracles:
-            print(f"ok   {name}: rows={len(ours)} cols={sorted(ours.columns)} ({wall:.1f}s) [rows-only]")
+            tag = "[rows-only]"
+            if name in VERIFIERS:
+                try:
+                    VERIFIERS[name](sf_dir, ours)
+                    tag = "[verified]"
+                except Exception as e:
+                    failures.append(name)
+                    print(f"FAIL {name}: verifier raised {type(e).__name__}: {e}")
+                    continue
+            print(f"ok   {name}: rows={len(ours)} cols={sorted(ours.columns)} ({wall:.1f}s) {tag}")
             continue
         theirs = con.sql(oracles[name]).df()
         ok_rows = len(ours) == len(theirs)
