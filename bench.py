@@ -355,9 +355,6 @@ def run_components() -> dict:
     table = pa.table({"id_a": pa.array(ida), "id_b": pa.array(idb)})
 
     from raydedup.stages.components import connected_components
-    from raydedup.stages.grouped import ensure_hash_shuffle
-
-    ensure_hash_shuffle()
     edges = rd.from_arrow(table).materialize()
     # warm the worker pool untimed
     rd.range(NUM_CPUS * 4, override_num_blocks=NUM_CPUS * 4).map_batches(

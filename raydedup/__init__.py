@@ -3,11 +3,12 @@
 Rebuilds the query/data-processing capabilities of ekzhu/datasketch
 (reference at /root/reference, v1.10.0) from scratch on top of
 ``ray.data.Dataset``: vectorized 128-perm MinHash over shingles, 64-bit
-SimHash over phash/pixel features, banded LSH as a groupby shuffle,
-union-find connected components, a window-anchor exact-substring pass,
-HyperLogLog aggregates — plus the large-scale training-data operators
-(exact/near dedup, ANN search, text quality/langid/token stats,
-multimodal plumbing).
+SimHash over phash/pixel features, banded LSH as a keyed shuffle (a
+task-only range partition: sampled boundaries, split and merge tasks,
+no actors), union-find connected components, a window-anchor
+exact-substring pass, HyperLogLog aggregates — plus the large-scale
+training-data operators (exact/near dedup, ANN search, text
+quality/langid/token stats, multimodal plumbing).
 
 Design notes (vs the reference):
 - the reference is a library of in-memory sketch objects + mutable KV
@@ -19,23 +20,6 @@ Design notes (vs the reference):
   permutations, same SHA1-based token hash, same band-key byte layout)
   so candidate sets and clusters match at identical config.
 """
-
-def _set_default_shuffle_strategy() -> None:
-    """Select Ray Data's hash-based shuffle at import time.
-
-    Key-partitioned repartition (``repartition(keys=...)``, the engine's
-    core bucket-shuffle primitive — stages/grouped.py) requires
-    ``ShuffleStrategy.HASH_SHUFFLE``, and each Dataset snapshots the
-    DataContext at creation, so the strategy must be set before any
-    dataset is built. Hash shuffle also serves the ordinary groupby
-    aggregates well."""
-    try:
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        DataContext.get_current().shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    except Exception:  # pragma: no cover - older/newer ray fallback
-        pass
-
 
 def _quiet_known_benign_warnings() -> None:
     """pyarrow Schemas carrying pandas metadata are unhashable (the
@@ -57,7 +41,6 @@ def _quiet_known_benign_warnings() -> None:
         lg.addFilter(_DropSchemaHashNoise())
 
 
-_set_default_shuffle_strategy()
 _quiet_known_benign_warnings()
 
 from raydedup.hashing import (

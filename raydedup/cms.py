@@ -61,22 +61,11 @@ class CountMinSketch:
 
 def build_df_sketch(slim_ds, text_col: str, n: int, depth: int = 4, log2_width: int = 17) -> np.ndarray:
     """Run the DF-sketch aggregate over ``slim_ds`` and return the raw
-    counter array. A GLOBAL (keyless) aggregate needs no partitioning,
-    but the hash-shuffle context spawns ``default_hash_shuffle_parallelism``
-    aggregator actors anyway — temporarily clamp it for this one eager
-    aggregate (each actor costs ~0.1s to spawn; the merged state is a
+    counter array (a GLOBAL keyless aggregate; the merged state is a
     fixed 2 MB array)."""
-    ctx = getattr(slim_ds, "context", None)
-    old = getattr(ctx, "default_hash_shuffle_parallelism", None) if ctx else None
-    if old is not None:
-        ctx.default_hash_shuffle_parallelism = min(old, 2)
-    try:
-        return slim_ds.aggregate(shingle_df_sketch_aggregate(text_col, n, depth, log2_width))[
-            "shingle_df_cms"
-        ]
-    finally:
-        if old is not None:
-            ctx.default_hash_shuffle_parallelism = old
+    return slim_ds.aggregate(shingle_df_sketch_aggregate(text_col, n, depth, log2_width))[
+        "shingle_df_cms"
+    ]
 
 
 def shingle_df_sketch_aggregate(text_col: str, n: int, depth: int = 4, log2_width: int = 17):

@@ -159,9 +159,6 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
     ``pairs``, ``clusters`` Datasets (clusters may be an Arrow table when
     the driver DSU path is taken) and ``metrics``."""
     cfg = config or DedupConfig()
-    from raydedup.stages.grouped import ensure_hash_shuffle
-
-    ensure_hash_shuffle()
     from raydedup.stages.grouped import auto_partitions
 
     npart = cfg.num_partitions if cfg.num_partitions else auto_partitions(ds)

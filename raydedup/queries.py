@@ -21,9 +21,6 @@ def _read(sf_dir: str, table: str, columns=None):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from raydedup.stages.grouped import ensure_hash_shuffle
-
-    ensure_hash_shuffle()  # datasets snapshot the context at creation
     path = f"{sf_dir}/{table}.parquet"
     # pass an explicit metadata-free schema: pandas-written parquet
     # carries schema metadata that makes pa.Schema unhashable, which
@@ -1501,11 +1498,10 @@ def q_cross_source_neardup(sf_dir: str):
         )
 
     # staged(): the signature actor pool holds every CPU slot of a
-    # small session, so the downstream shuffle's aggregator actors can
-    # never schedule while the pool is live in the same plan (4-CPU
-    # deadlock, round-1 pitfall). Materializing the slim band rows
-    # retires the pool before the shuffle starts — exactly how
-    # dedup_pipeline sequences the same stages.
+    # small session while it is live in the same plan as the shuffle.
+    # Materializing the slim band rows retires the pool before the
+    # shuffle starts — exactly how dedup_pipeline sequences the same
+    # stages.
     band_ds = staged(sigs.map_batches(explode, batch_format="pyarrow"))
 
     def emit(block: pa.Table, starts, ends) -> pa.Table:
@@ -1534,10 +1530,8 @@ def q_cross_source_neardup(sf_dir: str):
             }
         )
 
-    # staged(): the signature actor pool + two HashShuffleOperators in
-    # one lazy plan wedge a 4-CPU session (pool holds every CPU slot the
-    # shuffle aggregators need — round-1 pitfall); sequential stage
-    # execution is also measurably faster (see grouped.staged).
+    # staged(): two keyed shuffles in one lazy plan run slower than
+    # sequential stage executions (see grouped.staged).
     pairs = staged(map_key_runs(band_ds, "bucket", emit, parts))
     return unique_rows_partitioned(pairs, ["id_a", "id_b"], parts)
 
@@ -2164,8 +2158,8 @@ def q_cluster_representatives(sf_dir: str):
 
     from raydedup.stages.grouped import staged
 
-    # two keyed shuffles: stage the first (live sibling
-    # HashShuffleOperators degrade the 2.49 executor ~2× — see staged())
+    # two keyed shuffles: stage the first (live sibling all-to-all
+    # operators degrade the 2.49 executor ~2× — see staged())
     labeled = staged(map_key_runs(u, "doc_id", attach, num_partitions=nparts, min_run=1))
 
     def pick_rep(block: pa.Table, starts: np.ndarray, ends: np.ndarray) -> pa.Table:
@@ -2222,9 +2216,6 @@ def q_image_dedup_synth(sf_dir: str):
     import ray.data as rd
 
     from raydedup.pipeline import DedupConfig, dedup_pipeline
-    from raydedup.stages.grouped import ensure_hash_shuffle
-
-    ensure_hash_shuffle()
     ds = rd.read_parquet(_synth_images_path(), columns=["image_id", "caption", "phash"])
     return _collect(dedup_pipeline(ds, DedupConfig(num_partitions=8))["clusters"])
 
@@ -2239,10 +2230,8 @@ def q_image_features_synth(sf_dir: str):
     phash bit-exactly and the flags against the planted corrupt blobs."""
     import ray.data as rd
 
-    from raydedup.stages.grouped import ensure_hash_shuffle
     from raydedup.stages.media import DecodeFeaturesStage
 
-    ensure_hash_shuffle()
     ds = rd.read_parquet(_synth_images_path())
     feats = ds.map_batches(
         DecodeFeaturesStage,
@@ -2283,10 +2272,8 @@ def q_audio_features_synth(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from raydedup.stages.grouped import ensure_hash_shuffle
     from raydedup.stages.media import AudioFeatureStage
 
-    ensure_hash_shuffle()
     ds = rd.read_parquet(_synth_media_path("audio", 200))
     feats = ds.map_batches(
         AudioFeatureStage,
@@ -2316,10 +2303,8 @@ def q_video_frames_synth(sf_dir: str):
     import ray.data as rd
 
     from raydedup.media import phash64
-    from raydedup.stages.grouped import ensure_hash_shuffle
     from raydedup.stages.media import FrameSampleStage
 
-    ensure_hash_shuffle()
     ds = rd.read_parquet(
         _synth_media_path("video", 40),
         columns=["video_id", "bytes", "w", "h", "n_frames", "codec"],
@@ -2361,10 +2346,8 @@ def q_image_thumbs_synth(sf_dir: str):
     same kernel run on the driver."""
     import ray.data as rd
 
-    from raydedup.stages.grouped import ensure_hash_shuffle
     from raydedup.stages.media import ResizeStage
 
-    ensure_hash_shuffle()
     ds = rd.read_parquet(_synth_images_path())
     out = ds.map_batches(
         ResizeStage,

@@ -53,9 +53,6 @@ def brute_force_topk(ds, query_vecs: np.ndarray, k: int = 10, id_col: str = "vec
     k·Q·num_blocks candidate rows reach the final global sort."""
     import ray
 
-    from raydedup.stages.grouped import tune_for_session
-
-    tune_for_session(ds)
     sch = ds.schema()
     if sch is None or ds.count() == 0:
         # empty corpus: map_batches skips empty blocks entirely, so the
@@ -424,9 +421,6 @@ def ivf_topk(ds, query_vecs: np.ndarray, k: int = 10, nprobe: int = 4, n_centroi
     (query_idx, {id_col}, cos) of ≤ k rows per query."""
     import ray
 
-    from raydedup.stages.grouped import tune_for_session
-
-    tune_for_session(ds)
     cent = build_ivf_centroids(ds, emb_col, n_centroids)
     celled = add_ivf_cell(ds.select_columns([id_col, emb_col]), cent, emb_col)
     q = _normalize(np.asarray(query_vecs, dtype=np.float64))
@@ -486,9 +480,6 @@ def embedding_near_dup_pairs(
     cosine within each bucket. Pairs crossing buckets are missed with
     probability (1 - θ/π)^bits per plane-split — raise ``bits`` for
     speed, lower for recall. Returns (id_a, id_b, cos)."""
-    from raydedup.stages.grouped import tune_for_session
-
-    tune_for_session(ds)
     bucketed = add_hyperplane_bucket(ds.select_columns([id_col, emb_col]), emb_col, bits, seed)
 
     def within(group: pa.Table) -> pa.Table:

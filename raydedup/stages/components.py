@@ -257,14 +257,11 @@ def components_distributed(
 
     from raydedup.stages.grouped import (
         effective_partitions,
-        ensure_hash_shuffle,
+        keyed_partitions,
         staged,
-        tune_for_session,
         unique_rows_partitioned,
     )
 
-    ensure_hash_shuffle()
-    tune_for_session(pairs_ds)
     cap = effective_partitions(num_partitions)
     rows_per_part = 400_000  # slim 2-string-column rows ≈ 25 B each
 
@@ -359,8 +356,8 @@ def components_distributed(
 
     def _star_plan(eds, rows, large, pass_key):
         expand = _expand_large if large else _expand_small
-        parted = eds.map_batches(expand, batch_format="pyarrow").repartition(
-            _P(rows * (2 if large else 1)), keys=["u"]
+        parted = keyed_partitions(
+            eds.map_batches(expand, batch_format="pyarrow"), ["u"], _P(rows * (2 if large else 1))
         )
         return parted.map_batches(
             _star_block(large, pass_key), batch_size=None, batch_format="pyarrow"
@@ -428,9 +425,9 @@ def components_distributed(
         return f
 
     split = staged(
-        pairs_ds.map_batches(_peel_expand, batch_format="pyarrow")
-        .repartition(_P(n_edges * 2), keys=["k"])
-        .map_batches(_peel_block, batch_size=None, batch_format="pyarrow")
+        keyed_partitions(
+            pairs_ds.map_batches(_peel_expand, batch_format="pyarrow"), ["k"], _P(n_edges * 2)
+        ).map_batches(_peel_block, batch_size=None, batch_format="pyarrow")
     )
     eds = staged(split.map_batches(_peel_take(0), batch_format="pyarrow"))
     rows = eds.count()
@@ -481,10 +478,13 @@ def components_distributed(
         )
 
     finals = staged(
-        eds.map_batches(_relabel_rows(1), batch_format="pyarrow")
-        .union(peeled.map_batches(_relabel_rows(0), batch_format="pyarrow"))
-        .repartition(_P(rows + peeled_rows), keys=["k"])
-        .map_batches(_relabel_block, batch_size=None, batch_format="pyarrow")
+        keyed_partitions(
+            eds.map_batches(_relabel_rows(1), batch_format="pyarrow").union(
+                peeled.map_batches(_relabel_rows(0), batch_format="pyarrow")
+            ),
+            ["k"],
+            _P(rows + peeled_rows),
+        ).map_batches(_relabel_block, batch_size=None, batch_format="pyarrow")
     )
 
     # children rows are globally unique; root rows need one slim

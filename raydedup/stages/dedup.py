@@ -66,7 +66,7 @@ def exact_dedup(ds, key_cols: list[str], id_col: str, keep_payload: bool = True,
     per partition, not per group). Only the hash + id transit the
     shuffle unless ``keep_payload`` (then whole rows minus any
     pre-dropped blobs)."""
-    from raydedup.stages.grouped import auto_partitions, ensure_hash_shuffle, effective_partitions
+    from raydedup.stages.grouped import auto_partitions, keyed_partitions
 
     if num_partitions is None:
         num_partitions = auto_partitions(ds)
@@ -76,10 +76,7 @@ def exact_dedup(ds, key_cols: list[str], id_col: str, keep_payload: bool = True,
     if not keep_payload:
         hashed = hashed.select_columns(["content_hash", id_col])
 
-    ensure_hash_shuffle()
-    parted = hashed.repartition(
-        effective_partitions(num_partitions), keys=["content_hash"]
-    )
+    parted = keyed_partitions(hashed, ["content_hash"], num_partitions)
 
     def keep_min_per_run(block: pa.Table) -> pa.Table:
         if len(block) == 0:
@@ -467,8 +464,7 @@ def _pair_set_verify(
         return pairs.map_batches(score_map, batch_format="pyarrow", batch_size=None)
 
     # shuffle branch: the attach stage is itself a keyed shuffle, so pin
-    # the dedupe shuffle first (two live HashShuffleOperators run ~2×
-    # slower — round-2 notes)
+    # the dedupe shuffle first (two live keyed shuffles ran ~2× slower)
     pairs = staged(deduped)
 
     def halves(batch: pa.Table) -> pa.Table:
@@ -1046,10 +1042,9 @@ def ngram_jaccard_pairs(
     import ray
 
     from raydedup.cms import CountMinSketch, build_df_sketch
-    from raydedup.stages.grouped import auto_partitions, ensure_hash_shuffle, map_key_runs
+    from raydedup.stages.grouped import auto_partitions, map_key_runs
     from raydedup.suffix import flat_ngram_hashes64, unique_per_row
 
-    ensure_hash_shuffle()
     slim = ds.select_columns([id_col, text_col])
     sch = ds.schema()
     if sch is None:  # empty dataset reports no schema
@@ -1078,8 +1073,8 @@ def ngram_jaccard_pairs(
         # size from ds, not the select_columns projection: a projection
         # has lineage, so its _meta_count is None and auto_partitions
         # would fall back to the CPU cap — a 32-partition shuffle for a
-        # 5k-doc corpus costs ~4s of aggregator spawn (r04 fix; this was
-        # the r03 ngram_jaccard regression)
+        # 5k-doc corpus cost ~4s of hash-shuffle aggregator spawn (r04
+        # fix; this was the r03 ngram_jaccard regression)
         num_partitions = auto_partitions(ds)
 
     cms_counts = build_df_sketch(slim, text_col, n)
@@ -1150,9 +1145,8 @@ def ngram_jaccard_pairs(
     from raydedup.stages.grouped import staged
 
     # pin the candidate table: the anchor shuffle and the verify-side
-    # dedupe shuffle must not be live in one plan (two concurrent
-    # HashShuffleOperators run ~2× slower — round-2 notes); measured
-    # 10 s → 4.5 s on the sf0.1 query
+    # dedupe shuffle must not be live in one plan (two concurrent keyed
+    # shuffles ran ~2× slower); measured 10 s → 4.5 s on the sf0.1 query
     pairs = staged(map_key_runs(exploded, "anchor", pairs_in_runs, num_partitions))
 
     def jaccard(inter: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:

@@ -40,9 +40,6 @@ def topk_similar(sig_ds, query_sigs: np.ndarray, query_ids, k: int = 10, id_col:
     import ray
 
     from raydedup.schema import sig_to_numpy
-    from raydedup.stages.grouped import tune_for_session
-
-    tune_for_session(sig_ds)
     q = np.ascontiguousarray(query_sigs, dtype=np.uint64)
     qref = ray.put((q, list(query_ids)))
 
@@ -259,9 +256,8 @@ def containment_pairs_exact(
     from raydedup.cms import CountMinSketch, build_df_sketch
     from raydedup.hashing import hash_bytes64, word_ngram_shingles
     from raydedup.stages.dedup import _pair_set_verify
-    from raydedup.stages.grouped import auto_partitions, ensure_hash_shuffle, map_key_runs
+    from raydedup.stages.grouped import auto_partitions, map_key_runs
 
-    ensure_hash_shuffle()
     slim = ds.select_columns([id_col, text_col])
     id_type = ds.schema().base_schema.field(id_col).type
     from raydedup.stages.dedup import NGRAM_FUSED_DOCS, _ngram_pairs_fused

@@ -58,6 +58,15 @@ if REFERENCE_ROOT not in sys.path:
     sys.path.append(REFERENCE_ROOT)
 
 
+def pytest_configure(config):
+    # Ray's own object-store cleanup after a sort (trace_deallocation)
+    # calls its deprecated ``internal_api.free``; this exact message only
+    config.addinivalue_line(
+        "filterwarnings",
+        "ignore:`free` is a deprecated API and will be removed in a future version of Ray:DeprecationWarning",
+    )
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray
@@ -74,9 +83,6 @@ def ray_session():
 
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False
-    from raydedup.stages.grouped import ensure_hash_shuffle
-
-    ensure_hash_shuffle()  # clamp shuffle parallelism to the session CPUs
     yield
     ray.shutdown()
 

@@ -109,7 +109,8 @@ def test_audio_feature_stage_flac(ray_session):
     table = make_audio_table(n=25)
     codecs = set(table.column("codec").to_pylist())
     assert "flac" in codecs
-    ds = rd.from_arrow(table).map_batches(
+    # two input blocks, one per actor of the pool
+    ds = rd.from_arrow([table.slice(0, 13), table.slice(13)]).map_batches(
         AudioFeatureStage, batch_format="pyarrow", concurrency=2, batch_size=8
     )
     out = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))

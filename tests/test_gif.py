@@ -171,7 +171,8 @@ def test_frame_sample_stage_gif(ray_session):
 
     table = make_videos_table(n=9, seed=13)
     assert "gif" in set(table.column("codec").to_pylist())
-    ds = rd.from_arrow(table).map_batches(
+    # two input blocks, one per actor of the pool
+    ds = rd.from_arrow([table.slice(0, 5), table.slice(5)]).map_batches(
         FrameSampleStage,
         fn_constructor_kwargs=dict(every_n=5, max_frames=4),
         batch_format="pyarrow",

@@ -1,12 +1,12 @@
 """Regression tests for the keyed-shuffle primitive (stages/grouped.py).
 
-Ray 2.49 skips map UDFs on empty blocks AND skips the hash-shuffle
-schema broadcast when the first shuffled block is empty, so a
-``repartition(keys=..., sort=True)`` chain crashes with ArrowInvalid
-('No match for FieldRef.Name(...)') whenever partitions ≫ distinct keys
-(CORRECTNESS_r01: substring_pairs_docs at num_cpus=32). The engine now
-never sorts in shuffle finalize; these tests chain keyed shuffles with
-far more partitions than keys and verify results stay correct.
+Keyed grouping is a coalesce to P blocks plus a range-partition sort;
+every distinct key must reach exactly one ``per_block`` call, also when
+partitions far outnumber keys (empty sort partitions come back as
+zero-column tables, and Ray 2.49 skips map UDFs on empty blocks) and
+when blocks exceed a small ``target_max_block_size``. These tests chain
+keyed shuffles with far more partitions than keys and verify results
+stay correct on both sides of the SMALL_SHUFFLE_ROWS gate.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import pytest
 def _ds_from_table(t: pa.Table, blocks: int):
     import ray.data as rd
 
-    from raydedup.stages.grouped import ensure_hash_shuffle
-
-    ensure_hash_shuffle()
     return rd.from_arrow(t).repartition(blocks)
 
 
@@ -98,6 +95,91 @@ def test_map_key_runs_unsorted_input_runs_are_whole_groups(ray_session, shuffle_
     got = {r["k"]: r["n"] for r in out}
     expected = {int(k): int(n) for k, n in zip(*np.unique(keys, return_counts=True)) if n >= 2}
     assert got == expected
+
+
+@pytest.fixture
+def small_blocks():
+    """A 16 KiB ``target_max_block_size`` for datasets built in the
+    test, so Ray would split any output block it is free to split."""
+    import ray.data as rd
+
+    ctx = rd.DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 16 << 10
+    yield
+    ctx.target_max_block_size = old
+
+
+@pytest.mark.parametrize("keys", [["k"], ["id_a", "id_b"]])
+def test_map_key_runs_every_key_in_one_call(ray_session, shuffle_mode, small_blocks, keys):
+    """Each key reaches exactly one ``per_block`` call: 30k rows in 20
+    input blocks over 4 partitions, with 16 KiB target blocks, never
+    split a run across the sort's output blocks — also for a two-column
+    key, whose range boundaries are tuples."""
+    import uuid
+
+    from raydedup.stages.grouped import map_key_runs
+
+    rng = np.random.default_rng(11)
+    n = 30_000
+    t = pa.table(
+        {
+            "k": pa.array(rng.integers(0, 5_000, n), pa.int64()),
+            "id_a": pa.array(rng.integers(0, 50, n), pa.int64()),
+            "id_b": pa.array(rng.integers(0, 100, n), pa.int64()),
+            "v": pa.array(np.arange(n), pa.int64()),
+        }
+    )
+    ds = _ds_from_table(t, 20)
+
+    def emit(block: pa.Table, starts, ends) -> pa.Table:
+        call = uuid.uuid4().hex
+        sel = pa.array(starts)
+        cols = {k: block.column(k).take(sel) for k in keys}
+        return pa.table(
+            {
+                **cols,
+                "n": pa.array(ends - starts, pa.int64()),
+                "call": pa.array([call] * len(starts), pa.string()),
+            }
+        )
+
+    out = map_key_runs(ds, keys, emit, 4, min_run=1).to_pandas()
+    want = t.to_pandas().groupby(keys).size()
+    # one output row per key means one run in one call
+    assert not out.duplicated(keys).any()
+    got = out.set_index(keys)["n"].sort_index()
+    assert got.to_dict() == want.to_dict()
+    if shuffle_mode == "distributed":
+        assert out["call"].nunique() >= 2
+
+
+def test_empty_inputs_stay_typed(ray_session, shuffle_mode):
+    """An empty input and an input whose blocks are all empty finish
+    with zero rows, also when fed into a second keyed shuffle. Ray 2.49
+    skips map UDFs on empty blocks, so an all-empty keyed result reports
+    no schema (the callers' ``schema() is None`` fallbacks then build
+    their typed empty tables) — never a wrong one."""
+    import ray.data as rd
+
+    from raydedup.stages.grouped import map_key_runs, unique_rows_partitioned
+
+    def emit(block: pa.Table, starts, ends) -> pa.Table:
+        return pa.table({"k": block.column("k").take(pa.array(starts)), "n": pa.array(ends - starts)})
+
+    t = pa.table({"k": pa.array(np.arange(40) % 7, pa.int64()), "v": pa.array(np.arange(40), pa.int64())})
+    empty = rd.from_arrow(t.slice(0, 0))
+    all_empty = _ds_from_table(t, 5).map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
+    for ds in (empty, all_empty):
+        runs = map_key_runs(ds, "k", emit, 4)
+        for out, cols in (
+            (runs, ["k", "n"]),
+            (unique_rows_partitioned(ds, ["k", "v"], 4), ["k", "v"]),
+            (unique_rows_partitioned(runs, ["k"], 4), ["k"]),
+        ):
+            out = out.materialize()
+            assert out.count() == 0 and out.take_all() == []
+            assert out.schema() is None or out.schema().names == cols
 
 
 def test_exact_dedup_sparse_keys_many_partitions(ray_session, shuffle_mode):
@@ -481,11 +563,11 @@ def test_overlapping_sessions_bruteforce(ray_session):
 
 
 def test_one_cpu_session_hash_shuffle_completes(tmp_path):
-    """A 1-CPU Ray session must not deadlock at its first distributed
-    hash shuffle or keyed groupby-aggregate: the aggregator actors' CPU
-    reservation would leave no room for the shuffle's map tasks. Runs
-    in a fresh process (its own 1-CPU session) and must finish within
-    120 s."""
+    """A 1-CPU Ray session must finish a distributed keyed grouping and
+    a keyed groupby-aggregate (with hash-shuffle aggregator actors, the
+    actors' CPU reservation once left no room for the shuffle's map
+    tasks). Runs in a fresh process (its own 1-CPU session) and must
+    finish within 120 s."""
     import os
     import signal
     import subprocess
@@ -506,8 +588,7 @@ ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ER
 rd.DataContext.get_current().enable_progress_bars = False
 import raydedup.stages.grouped as G
 
-G.SMALL_SHUFFLE_ROWS = 0  # force the distributed hash-shuffle path
-G.ensure_hash_shuffle()
+G.SMALL_SHUFFLE_ROWS = 0  # force the distributed sort path
 ds = rd.from_arrow(pa.table({"k": np.arange(2000) %% 500, "v": np.arange(2000)}))
 print(G.map_key_runs(ds, "k", lambda b, s, e: b, num_partitions=2).count())
 print(ds.groupby("k").count().count())  # keyed groupby-aggregate shuffle
@@ -528,7 +609,7 @@ ray.shutdown()
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("1-CPU hash shuffle did not finish within 120 s")
+        pytest.fail("1-CPU keyed grouping did not finish within 120 s")
     assert proc.returncode == 0, err[-2000:]
     assert out.split()[-2:] == ["2000", "500"]
 

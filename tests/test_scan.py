@@ -21,10 +21,8 @@ def shuffle_mode(request, monkeypatch):
 def _check(order: np.ndarray, vals: np.ndarray, blocks: int, parts: int | None):
     import ray.data as rd
 
-    from raydedup.stages.grouped import ensure_hash_shuffle
     from raydedup.stages.scan import exclusive_prefix_sum
 
-    ensure_hash_shuffle()
     t = pa.table({"k": pa.array(order, pa.int64()), "v": pa.array(vals, pa.int64())})
     ds = rd.from_arrow(t).repartition(blocks)
     out = exclusive_prefix_sum(ds, "k", "v", out_col="off", num_partitions=parts)
