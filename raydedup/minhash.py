@@ -28,24 +28,25 @@ from raydedup.hashing import MAX_HASH, MERSENNE_PRIME, generate_permutations, ha
 
 
 def _scratch_buf(scratch: dict | None, key: str, num_perm: int, width: int, dtype):
-    """Reusable (num_perm, ≥width) work buffer: fresh multi-MB allocs per
-    batch cost a page-fault sweep each call; per-actor scratch amortizes
-    it across the stage's lifetime."""
+    """Reusable C-contiguous (num_perm, width) work buffer: fresh
+    multi-MB allocs per batch cost a page-fault sweep each call;
+    per-caller scratch amortizes it across the stage's lifetime. A
+    column slice of a wider buffer would be strided, and measured up
+    to 2x slower per ufunc pass."""
     if scratch is None:
         return np.empty((num_perm, width), dtype=dtype)
     buf = scratch.get(key)
-    if buf is None or buf.shape[0] != num_perm or buf.shape[1] < width:
-        buf = np.empty((num_perm, max(width, 1)), dtype=dtype)
+    if buf is None or buf.size < num_perm * width:
+        buf = np.empty(num_perm * max(width, 1), dtype=dtype)
         scratch[key] = buf
-    return buf[:, :width]
+    return buf[: num_perm * width].reshape(num_perm, width)
 
 
 def minhash_batch(
     token_lists: list,
     a: np.ndarray,
     b: np.ndarray,
-    memo: dict | None = None,
-    chunk_tokens: int = 262_144,
+    chunk_tokens: int = 8_192,
     hashfunc: str = "sha1",
     scratch: dict | None = None,
 ) -> np.ndarray:
@@ -54,9 +55,8 @@ def minhash_batch(
     Args:
         token_lists: list (len N) of iterables of token ``bytes``.
         a, b: permutation params from :func:`generate_permutations`.
-        memo: optional persistent SHA1 memo dict (see ``hash_tokens32``).
         chunk_tokens: cap on tokens permuted per matrix op, bounding the
-            ``(num_perm, chunk)`` temporary to ~256 MiB at 128 perms.
+            ``(num_perm, chunk)`` work buffers to ~17 MiB at 128 perms.
         scratch: optional per-caller dict of reusable work buffers
             (see ``_scratch_buf``).
 
@@ -71,7 +71,7 @@ def minhash_batch(
         counts[i] = len(toks)
     if not flat:
         return np.full((n, len(a)), MAX_HASH, dtype=np.uint64)
-    hv = hash_tokens32(flat, memo, hashfunc=hashfunc)
+    hv = hash_tokens32(flat, hashfunc=hashfunc)
     return minhash_batch_hashed(hv, counts, a, b, chunk_tokens=chunk_tokens, scratch=scratch)
 
 
@@ -80,7 +80,7 @@ def minhash_batch_hashed(
     counts: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    chunk_tokens: int = 262_144,
+    chunk_tokens: int = 8_192,
     scratch: dict | None = None,
 ) -> np.ndarray:
     """Permute + segment-min core of :func:`minhash_batch` over
@@ -107,9 +107,7 @@ def minhash_batch_hashed(
     bc = np.ascontiguousarray(b)[:, None]
     c0 = 0  # index into nz/starts of the first row whose segment is unfinished
     while c0 < len(nz):
-        c1 = c0
-        while c1 < len(nz) and starts[c1] - starts[c0] < chunk_tokens:
-            c1 += 1
+        c1 = max(c0 + 1, int(np.searchsorted(starts, starts[c0] + chunk_tokens)))
         s = starts[c0]
         e = starts[c1] if c1 < len(nz) else total
         w = e - s

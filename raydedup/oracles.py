@@ -773,3 +773,59 @@ def verify_heavy_hitter_terms(sf_dir: str, result) -> None:
     floor, reported = min(est) + dec, set(terms)
     missed = sorted((c, w) for w, c in exact.items() if c > floor and w not in reported)
     _require(not missed, f"unreported terms above min(est)+dec={floor}: {missed[-5:]}")
+
+
+@verifier
+def verify_minhash_dedup_docs(sf_dir: str, result) -> None:
+    """The flagship text profile in scalar driver code, apart from the
+    vectorized kernels: ``str.split`` word-3 shingles, ``hashlib.sha1``
+    32-bit values, the reference permutation ``((a·h + b) mod 2⁶⁴) mod
+    (2⁶¹−1) & (2³²−1)`` in Python ints, b×r bands as dicts of sets keyed
+    by the big-endian bytes of each band (reference ``lsh.py:537-538``),
+    then union-find. Exact-text groups add no edge: equal texts have
+    equal signatures. The query's partition must equal this one."""
+    import hashlib
+
+    from raydedup.params import optimal_param
+
+    p, m32, m64 = (1 << 61) - 1, (1 << 32) - 1, (1 << 64) - 1
+    perms = [(int(a), int(b)) for a, b in zip(*generate_permutations(128, 1))]
+    nb, r = optimal_param(0.8, 128)
+    bands: list[dict] = [{} for _ in range(nb)]
+    docs = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    for doc, text in zip(_col(docs, "doc_id"), _col(docs, "text")):
+        w = (text or "").lower().split()
+        hs = [
+            int.from_bytes(hashlib.sha1(s.encode()).digest()[:4], "little")
+            for s in {" ".join(w[i : i + 3]) for i in range(len(w) - 2)}
+        ]
+        sig = [min((((a * h + b) & m64) % p & m32 for h in hs), default=m32) for a, b in perms]
+        for j, band in enumerate(bands):
+            key = b"".join(v.to_bytes(8, "big") for v in sig[j * r : (j + 1) * r])
+            band.setdefault(key, set()).add(doc)
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for band in bands:
+        for members in band.values():
+            if len(members) > 1:
+                roots = [find(parent.setdefault(m, m)) for m in members]
+                for x in roots[1:]:
+                    parent[find(x)] = find(roots[0])
+    want: dict = {}
+    for x in parent:
+        want.setdefault(find(x), set()).add(x)
+    t = _table(result)
+    got: dict = {}
+    for doc, cid in zip(_col(t, "doc_id"), _col(t, "cluster_id")):
+        got.setdefault(cid, set()).add(doc)
+    _require_ids(_col(t, "doc_id"), list(parent))
+    want_p = {frozenset(c) for c in want.values()}
+    got_p = {frozenset(c) for c in got.values()}
+    bad = sorted(map(sorted, got_p ^ want_p))[:3]
+    _require(got_p == want_p, f"{len(got_p)} clusters vs {len(want_p)} by union-find; differing: {bad}")

@@ -37,9 +37,10 @@ from raydedup.stages.signatures import SignatureStage
 # SimHash bit-bands over the 64-bit phash: pigeonhole catches every pair
 # at Hamming distance ≤ SIMHASH_BANDS - 1 (= 3)
 SIMHASH_BANDS = 4
-# rows per signature map batch: the (tokens, 128) permute temporary
-# stays ~6 MB, cache-friendly
-SIGNATURE_BATCH_SIZE = 256
+# rows per signature map batch: amortizes the per-op numpy cost of the
+# SHA-1 rounds; the permute buffers stay ≤ ~17 MB (minhash_batch_hashed
+# chunks of 8,192 tokens)
+SIGNATURE_BATCH_SIZE = 1024
 
 
 @dataclass
@@ -167,8 +168,8 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
 
     def build_signatures():
         # stateless map tasks; the (tiny, seed-derived) permutation
-        # state is rebuilt once per worker process — task scheduling is
-        # elastic where an actor pool pays spin-up + ramp
+        # state is rebuilt once per task — task scheduling is elastic
+        # where an actor pool pays spin-up + ramp
         fn = task_stage(
             SignatureStage,
             num_perm=cfg.num_perm,

@@ -397,7 +397,7 @@ def q_docs_per_source(sf_dir: str):
     return (
         _read(sf_dir, "documents", columns=["source", "n_chars"])
         .map_batches(pre, batch_format="pyarrow")
-        .groupby("source", num_partitions=4)
+        .groupby("source")
         .aggregate(Sum("c", alias_name="n"), Sum("s", alias_name="sum_chars"))
         .map_batches(finalize, batch_format="pyarrow")
     )
@@ -415,7 +415,7 @@ def q_events_per_type(sf_dir: str):
     return (
         _read(sf_dir, "events", columns=["event_type"])
         .map_batches(pre, batch_format="pyarrow")
-        .groupby("event_type", num_partitions=4)
+        .groupby("event_type")
         .aggregate(Sum("c", alias_name="n"))
     )
 
@@ -451,9 +451,7 @@ def q_hll_users_per_type(sf_dir: str):
 
     return (
         _read(sf_dir, "events", columns=["event_type", "user_id"])
-        # handful of event types: 4 partitions beats the CPU-count
-        # default (aggregator spawn cost; in-process A/B 2.84→1.95 s)
-        .groupby("event_type", num_partitions=4)
+        .groupby("event_type")
         .aggregate(hll_aggregate_fn("user_id", p=12, alias_name="ndv_users", hashfunc="md5"))
         .map_batches(round6, batch_format="pyarrow")
     )
@@ -865,10 +863,7 @@ def q_json_field_stats(sf_dir: str):
 def q_lineitem_agg(sf_dir: str):
     """Grouped sum/count with a map-side combiner: each block collapses
     to ≤ |groups| rows before the shuffle, so the exchange moves
-    O(blocks × groups) rows instead of the whole table, and the final
-    groupby needs only a handful of partitions (in-process A/B at
-    sf0.1/32 CPUs, min-over-3: 4.4 s raw groupby → 1.9 s combined —
-    aggregator spawn cost ∝ partitions dominates small aggregates).
+    O(blocks × groups) rows instead of the whole table.
     l_quantity is integer-valued, so re-ordered double summation is
     exact and the DuckDB oracle still hash-matches."""
     from ray.data.aggregate import Sum
@@ -882,7 +877,7 @@ def q_lineitem_agg(sf_dir: str):
     return (
         _read(sf_dir, "lineitem", columns=keys + ["l_quantity"])
         .map_batches(pre, batch_format="pyarrow")
-        .groupby(keys, num_partitions=4)
+        .groupby(keys)
         .aggregate(Sum("s", alias_name="sum_qty"), Sum("c", alias_name="n"))
     )
 
@@ -985,7 +980,7 @@ def q_orders_by_segment(sf_dir: str, broadcast_max_rows: int = 4_000_000):
             both, ["c_custkey"], join_runs, auto_partitions(orders, rows_per_partition=65536), min_run=1
         )
 
-    return combined.groupby("c_mktsegment", num_partitions=4).aggregate(
+    return combined.groupby("c_mktsegment").aggregate(
         Sum("c", alias_name="n_orders")
     )
 
@@ -1845,7 +1840,7 @@ def q_source_union_signatures(sf_dir: str):
         num_cpus=1,
         max_restarts=0,
     )
-    agg = sig_ds.groupby("source", num_partitions=4).aggregate(minhash_union_aggregate("minhash", 128, alias_name="u"))
+    agg = sig_ds.groupby("source").aggregate(minhash_union_aggregate("minhash", 128, alias_name="u"))
 
     def finalize(batch: pa.Table) -> pa.Table:
         sigs = np.array(batch.column("u").to_pylist(), dtype=np.uint64)
@@ -2863,7 +2858,7 @@ def q_source_similarity(sf_dir: str):
         max_restarts=0,
     )
     agg = (
-        sig_ds.groupby("source", num_partitions=4)
+        sig_ds.groupby("source")
         .aggregate(minhash_union_aggregate("minhash", 128, alias_name="u"))
         .take_all()
     )

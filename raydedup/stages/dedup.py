@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from raydedup.hashing import ragged_arange
+
 _worker_obj_cache: dict = {}
 
 
@@ -107,18 +109,13 @@ def _fold_windows(hv: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     return anc
 
 
-def _ragged_arange(cnt: np.ndarray) -> np.ndarray:
-    """``0..cnt[i]-1`` for each segment ``i``, flat."""
-    return np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-
-
 def _token_windows(lens: np.ndarray, w: int):
     """Every ``w``-token window of the docs that hold one: returns
     ``(doc row per window, window position in its doc, first window of
     each such doc, windows per such doc)``."""
     rows = np.flatnonzero(lens >= w)
     nwin = lens[rows] - w + 1
-    return np.repeat(rows, nwin), _ragged_arange(nwin), np.cumsum(nwin) - nwin, nwin
+    return np.repeat(rows, nwin), ragged_arange(nwin), np.cumsum(nwin) - nwin, nwin
 
 
 def _substring_tokens(batch: pa.Table, text_col: str):
@@ -224,7 +221,7 @@ def substring_verify_batch(batch: pa.Table, id_col: str, text_col: str, window: 
             continue
         cnt = nhit[k]
         rep = np.repeat(k, cnt)
-        j = np.repeat(lo[k], cnt) + _ragged_arange(cnt)
+        j = np.repeat(lo[k], cnt) + ragged_arange(cnt)
         hit_doc.append(crow[rep])
         hit_cls.append(j)
         hit_st.append(pos[rep] - classes["qoff"][j])
@@ -245,7 +242,7 @@ def substring_verify_batch(batch: pa.Table, id_col: str, text_col: str, window: 
     j, d = key // len(lens), key % len(lens)
     mstart = classes["mstart"]
     m = mstart[j + 1] - mstart[j]
-    member = np.repeat(mstart[j], m) + _ragged_arange(m)
+    member = np.repeat(mstart[j], m) + ragged_arange(m)
     return pa.table(
         {
             "id_a": classes["ids"].take(pa.array(member)),

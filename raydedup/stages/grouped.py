@@ -115,12 +115,13 @@ def staged(ds):
 
 
 def task_stage(cls, **kwargs):
-    """Per-worker cache around a stage class for ``map_batches`` tasks:
-    ``cls(**kwargs)`` is built once per worker PROCESS (the same
-    amortization as an actor pool) while scheduling stays elastic
-    tasks — right for stages whose state is tiny (seed-derived
-    permutations, compiled regexes, small tables). Heavy-state stages
-    (decode codecs, models) stay real actor pools."""
+    """Per-task cache around a stage class for ``map_batches`` tasks:
+    ``cls(**kwargs)`` is built once per map TASK and reused across that
+    task's batches (the closure, ``holder`` included, is deserialized
+    per task), while scheduling stays elastic tasks — right for stages
+    whose state is tiny (seed-derived permutations, compiled regexes,
+    small tables). Heavy-state stages (decode codecs, models) stay real
+    actor pools."""
     holder: dict = {}
 
     def fn(batch):

@@ -1,18 +1,14 @@
-"""Signature stage: MinHash + SimHash columns via an actor-pool map_batches.
+"""Signature stage: MinHash + SimHash columns via map_batches.
 
 The reference computes one `MinHash` object per document in a Python
-loop (``datasketch/minhash.py:464-489`` bulk). Here one actor call
-processes a whole Arrow batch: shingle all captions, hash unique
-shingles once (memoized across batches per actor), permute in one
-matrix op, segment-min per row.
+loop (``datasketch/minhash.py:464-489`` bulk). Here one call processes
+a whole Arrow batch: shingle all captions, hash every shingle in one
+vectorized SHA-1/MD5 over the Arrow buffers (``hashing.digest_arrow``),
+permute in one matrix op, segment-min per row.
 
-State (permutation matrix, SHA1 memo) is built **once per actor** in
-``__init__`` from the seed — deterministic, never shipped
-(SURVEY.md §4.3). Use as::
-
-    ds.map_batches(SignatureStage, fn_constructor_kwargs=dict(...),
-                   batch_format="pyarrow", batch_size=1024,
-                   concurrency=N, num_cpus=1)
+State (permutation matrix, doc memo) is built in ``__init__`` from the
+seed — deterministic, never shipped (SURVEY.md §4.3) — once per map
+task under ``grouped.task_stage`` (``pipeline.build_signatures``).
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from raydedup.hashing import (
     char_shingles,
     generate_permutations,
     hash_strings32_arrow,
+    ragged_arange,
     word_ngram_shingles,
 )
 from raydedup.minhash import minhash_batch, minhash_batch_hashed
@@ -65,10 +62,7 @@ def word_shingle_windows(col, n: int):
     total = int(cnt.sum())
     if total == 0:
         return cnt, pa.array([], pa.string())
-    off = np.cumsum(lens) - lens
-    starts = np.repeat(off, cnt) + (
-        np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    )
+    starts = np.repeat(np.cumsum(lens) - lens, cnt) + ragged_arange(cnt)
     if n == 1:
         return cnt, flat.take(pa.array(starts))
     parts = [flat.take(pa.array(starts + j)) for j in range(n)]
@@ -105,7 +99,6 @@ class SignatureStage:
         phash_col: str | None = "phash",
         simhash_text: bool = False,
         drop_cols: tuple[str, ...] = ("bytes",),
-        memo_cap: int = 2_000_000,
         hashfunc: str = "sha1",
     ):
         self.num_perm = num_perm
@@ -119,21 +112,17 @@ class SignatureStage:
         self.phash_col = phash_col
         self.simhash_text = simhash_text
         self.drop_cols = drop_cols
-        self.memo: dict = {}
-        self.memo_cap = memo_cap
         self.hashfunc = hashfunc
         self.scratch: dict = {}  # reusable permute work buffers (minhash_batch)
         # doc-level signature memo: identical shingle SETS yield identical
         # signatures, and dedup corpora are duplicate-heavy by nature, so
         # the permute is skipped for every repeat. Keyed by the exact
         # joined shingle bytes (no hash-collision risk); ~1 KB/entry at
-        # 128 perms, bounded separately from the shingle memo.
+        # 128 perms.
         self.sig_memo: dict = {}
-        self.sig_memo_cap = max(1024, min(memo_cap // 16, 65_536))  # ≤ ~64 MB/actor
+        self.sig_memo_cap = 65_536  # ≤ ~64 MB per stage instance
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(self.memo) > self.memo_cap:  # bound actor heap on hostile corpora
-            self.memo.clear()
         if len(self.sig_memo) > self.sig_memo_cap:
             self.sig_memo.clear()
         if self.word_n is not None and not self.simhash_text:
@@ -155,14 +144,12 @@ class SignatureStage:
         return out
 
     def _signatures_flat(self, batch: pa.Table) -> np.ndarray:
-        """Vectorized word-shingle path (r05): shingle strings, repeat
-        lookups and the doc-memo keys all come from Arrow kernels; the
-        only per-item Python left is the SHA1 digest over the batch's
-        UNIQUE shingles — the reference bit-exactness contract
-        (``datasketch/hashfunc.py:5-15``), still memoized across
-        batches. Signature values are identical to the per-row path
-        (multiset MinHash ≡ set MinHash; asserted in
-        tests/test_kernels.py)."""
+        """Vectorized word-shingle path: shingle strings, doc-memo keys
+        and the SHA-1/MD5 digests (the reference bit-exactness
+        contract, ``datasketch/hashfunc.py:5-15``) all run over Arrow
+        buffers, with no Python per shingle. Signature values are
+        identical to the per-row path (multiset MinHash ≡ set MinHash;
+        asserted in tests/test_kernels.py)."""
         cnt, shingles = word_shingle_windows(batch.column(self.text_col), self.word_n)
         n = len(cnt)
         offs = np.zeros(n + 1, np.int64)
@@ -176,13 +163,8 @@ class SignatureStage:
         if miss:
             sel = np.array(miss, np.int64)
             mcnt = cnt[sel]
-            mtotal = int(mcnt.sum())
-            gather = np.repeat(offs[sel], mcnt) + (
-                np.arange(mtotal, dtype=np.int64) - np.repeat(np.cumsum(mcnt) - mcnt, mcnt)
-            )
-            hv = hash_strings32_arrow(
-                shingles.take(pa.array(gather)), memo=self.memo, hashfunc=self.hashfunc
-            )
+            gather = np.repeat(offs[sel], mcnt) + ragged_arange(mcnt)
+            hv = hash_strings32_arrow(shingles.take(pa.array(gather)), hashfunc=self.hashfunc)
             new_sig = minhash_batch_hashed(hv, mcnt, self.a, self.b, scratch=self.scratch)
             for j, i in enumerate(miss):
                 self.sig_memo[keys[i]] = new_sig[j]
@@ -202,7 +184,6 @@ class SignatureStage:
                 [token_lists[i] for i in miss],
                 self.a,
                 self.b,
-                memo=self.memo,
                 hashfunc=self.hashfunc,
                 scratch=self.scratch,
             )

@@ -254,7 +254,6 @@ def containment_pairs_exact(
     import ray
 
     from raydedup.cms import CountMinSketch, build_df_sketch
-    from raydedup.hashing import hash_bytes64, word_ngram_shingles
     from raydedup.stages.dedup import _pair_set_verify
     from raydedup.stages.grouped import auto_partitions, map_key_runs
 

@@ -113,12 +113,67 @@ def test_optimal_param_matches_reference(reference_datasketch):
         assert optimal_param(thr, 128) == ref_opt(thr, 128, 0.5, 0.5)
 
 
-def test_hash_tokens_memo():
-    memo = {}
+def test_hash_tokens32_repeats_match_scalar():
     toks = [b"a", b"b", b"a"]
-    hv = hash_tokens32(toks, memo)
+    hv = hash_tokens32(toks)
     assert hv[0] == hv[2] == sha1_hash32(b"a")
-    assert set(memo) == {b"a", b"b"}
+    assert hv[1] == sha1_hash32(b"b")
+
+
+def test_vectorized_digests_match_hashlib():
+    """``digest_arrow`` (numpy rounds up to 55 bytes, hashlib above)
+    equals ``hashlib`` itself for every profile and width, on both
+    sides of the one-block cutover, on sliced, ``large_string``, binary,
+    empty and multi-pass arrays."""
+    import hashlib
+
+    import pyarrow as pa
+
+    from raydedup.hashing import digest_arrow, hash_bytes64
+
+    def want(data: bytes, hf: str, bits: int) -> int:
+        d = hashlib.sha1(data).digest() if hf == "sha1" else hashlib.md5(data).digest()[8:]
+        return int.from_bytes(d[: bits // 8], "little")
+
+    rng = np.random.default_rng(12)
+    strs = ["".join(map(chr, rng.integers(32, 127, rng.integers(0, 80)))) for _ in range(300)]
+    strs += ["é日本" * k for k in range(0, 30, 7)]  # multi-byte UTF-8
+    strs += ["x" * n for n in (0, 55, 56, 63, 64, 119, 120)]
+    strs += ["long_no_whitespace_shingle" * 400]  # ~10 KB, 163 blocks
+    base = pa.array(strs, pa.string())
+    arrays = [
+        base,
+        base.slice(5, 200),  # nonzero array offset
+        pa.array(strs, pa.large_string()),
+        pa.array([t.encode() for t in strs], pa.binary()),
+        pa.array([], pa.string()),
+        pa.array(strs * 30, pa.string()),  # more rows than one numpy pass takes
+    ]
+    for arr in arrays:
+        vals = [v.encode() if isinstance(v, str) else v for v in arr.to_pylist()]
+        for hf in ("sha1", "md5"):
+            for bits in (32, 64):
+                got = digest_arrow(arr, hf, bits)
+                assert got.dtype == np.uint64 and len(got) == len(vals)
+                assert got.tolist() == [want(v, hf, bits) for v in vals], (arr.type, hf, bits)
+    raw = [t.encode() for t in strs]
+    assert hash_bytes64(raw).tolist() == [sha1_hash64(t) for t in raw]
+
+
+def test_minhash_batch_hashed_chunks_equal_one_chunk():
+    """Permuting in 16-token chunks (rows never split) gives the same
+    signatures as one chunk, empty rows included."""
+    from raydedup.minhash import minhash_batch_hashed
+
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 40, 60)
+    counts[[0, 7, 59]] = 0
+    hv = rng.integers(0, 1 << 32, int(counts.sum()), dtype=np.uint64)
+    a, b = generate_permutations(128, seed=1)
+    one = minhash_batch_hashed(hv, counts, a, b, chunk_tokens=1 << 20)
+    scratch: dict = {}
+    assert np.array_equal(minhash_batch_hashed(hv, counts, a, b, chunk_tokens=16, scratch=scratch), one)
+    assert np.array_equal(minhash_batch_hashed(hv, counts, a, b, chunk_tokens=16), one)
 
 
 def test_hll_matches_reference(reference_datasketch):

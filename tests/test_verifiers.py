@@ -1,5 +1,5 @@
 """Every ``oracles.VERIFIERS`` entry accepts its query's result over the
-sf0.001 corpus and rejects a corrupted copy of that result, so no
+sf0.001 corpus and rejects each corrupted copy of that result, so no
 verifier is vacuous. Verifiers raise ``VerificationError`` rather than
 assert, so both legs hold under ``python -O -m pytest`` too."""
 
@@ -9,6 +9,7 @@ import ast
 import inspect
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from raydedup.oracles import VERIFIERS, VerificationError, _table
@@ -34,6 +35,20 @@ def _flip(col: str, row: int = 0):
     return lambda t: _edit(t, col, row, lambda v: type(v)(not v))
 
 
+def _merge_clusters(t: pa.Table) -> pa.Table:
+    """The second cluster's members relabelled into the first cluster."""
+    first, second = sorted(set(t.column("cluster_id").to_pylist()))[:2]
+    col = t.column("cluster_id")
+    merged = pc.if_else(pc.equal(col, second), pa.scalar(first, col.type), col)
+    return t.set_column(t.schema.get_field_index("cluster_id"), "cluster_id", merged)
+
+
+def _split_cluster(t: pa.Table) -> pa.Table:
+    """Row 0 moved out of its (≥ 2-member) cluster into a new one."""
+    fresh = max(t.column("cluster_id").to_pylist()) + 1
+    return _edit(t, "cluster_id", 0, lambda v: fresh)
+
+
 CORRUPT = {
     "hnsw_topk": lambda t: t.slice(1),  # one dropped row
     "ivf_topk": lambda t: t.slice(1),
@@ -54,6 +69,7 @@ CORRUPT = {
     "heavy_hitter_terms": lambda t: _edit(
         t, "est_count", 0, lambda v: v + t.column("dec_total")[0].as_py() + 1
     ),
+    "minhash_dedup_docs": (_merge_clusters, _split_cluster),
 }
 
 
@@ -63,8 +79,10 @@ def test_verifier_accepts_result_rejects_corruption(ray_session, name):
 
     res = QUERIES[name](SF)
     VERIFIERS[name](SF, res)
-    with pytest.raises(VerificationError):
-        VERIFIERS[name](SF, CORRUPT[name](_table(res)))
+    corrupt = CORRUPT[name]
+    for fn in corrupt if isinstance(corrupt, tuple) else (corrupt,):
+        with pytest.raises(VerificationError):
+            VERIFIERS[name](SF, fn(_table(res)))
 
 
 def test_verifiers_do_not_assert():
