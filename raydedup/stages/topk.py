@@ -239,163 +239,20 @@ def containment_pairs_exact(
     n: int = 3,
     threshold: float = 0.5,
     num_partitions: int | None = None,
-    broadcast_limit_rows: int = 100_000,
 ):
     """EXACT pairs with shingle containment |A∩B|/|A| ≥ threshold.
 
     Prefix filter on the contained side only (containment is
-    asymmetric): A must share one of its ⌊|A|(1−t)⌋+1 rarest shingles
-    with B, while B contributes every shingle. Same scale shape as
-    ``ngram_jaccard_pairs``: count-min-sketch DF order (broadcast,
-    fixed size), slim (anchor: uint64, id, role) inverted-index rows,
-    and set verification AFTER candidate dedupe via the packed-blob
-    pair join (stages/dedup._pair_set_verify). Returns (id_a=contained,
+    asymmetric): A must share one of its ``|A| - ceil(t·|A|) + 1``
+    rarest shingles with B, while B contributes every shingle. The same
+    set join as ``ngram_jaccard_pairs`` in containment mode
+    (stages/dedup._ngram_set_join): count-min-sketch DF order, slim
+    (anchor: uint64, id, role) inverted-index rows, and set
+    verification AFTER candidate dedupe. Returns (id_a=contained,
     id_b=container, containment)."""
-    import ray
+    from raydedup.stages.dedup import _ngram_set_join
 
-    from raydedup.cms import CountMinSketch, build_df_sketch
-    from raydedup.stages.dedup import _pair_set_verify
-    from raydedup.stages.grouped import auto_partitions, map_key_runs
-
-    slim = ds.select_columns([id_col, text_col])
-    id_type = ds.schema().base_schema.field(id_col).type
-    from raydedup.stages.dedup import NGRAM_FUSED_DOCS, _ngram_pairs_fused
-    from raydedup.stages.grouped import meta_count as _mc
-
-    n_docs_meta = _mc(ds)
-    if n_docs_meta is not None and 0 < n_docs_meta <= NGRAM_FUSED_DOCS:
-        # metadata-provably-small corpus: one fused map task, no
-        # shuffles (see stages/dedup.NGRAM_FUSED_DOCS — same gate and
-        # kernels as the n-gram Jaccard fused path, asymmetric mode)
-        return _ngram_pairs_fused(
-            slim, id_col, text_col, n, threshold, id_type, mode="containment"
-        )
-    if num_partitions is None:
-        # size from ds, not the projection — a select_columns has no
-        # _meta_count, which silently falls back to the CPU cap (r04)
-        num_partitions = auto_partitions(ds)
-
-    cms_counts = build_df_sketch(slim, text_col, n)
-    cms_ref = ray.put(cms_counts)
-
-    def explode_roles(batch: pa.Table) -> pa.Table:
-        # vectorized (r04; was a per-doc Python shingle loop) — and in
-        # the SAME xxhash64-window space as build_df_sketch and the
-        # verify blobs: the old hash_bytes64 anchors queried the CMS in
-        # a different hash space, so the "rare-first" prefix order was
-        # noise and the candidate set ballooned (correctness was safe —
-        # any consistent order keeps AllPairs lossless — but slow)
-        from raydedup.suffix import flat_ngram_hashes64, unique_per_row
-
-        cms = CountMinSketch(counts=ray.get(cms_ref))
-        cnt, w = flat_ngram_hashes64(batch.column(text_col), n)
-        ucnt, hs = unique_per_row(cnt, w)
-        if len(hs) == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], id_type),
-                    "anchor": pa.array([], pa.uint64()),
-                    "role": pa.array([], pa.int8()),
-                    "sz": pa.array([], pa.uint32()),
-                    "rem": pa.array([], pa.uint32()),
-                }
-            )
-        rid = np.repeat(np.arange(len(ucnt), dtype=np.int64), ucnt)
-        df = cms.estimate(hs)
-        order = np.lexsort((hs, df, rid))  # per row: rare-first
-        pos = np.arange(len(hs), dtype=np.int64) - np.repeat(
-            np.cumsum(ucnt) - ucnt, ucnt
-        )
-        # prefix length = A - ceil(t*A) + 1 (a pair at threshold shares
-        # >=ceil(t*A) shingles, so at most A-ceil(t*A) leading shingles
-        # are unshared). Computed via ceil with an epsilon guard:
-        # floor(A*(1-t))+1 underflows in binary floating point (e.g.
-        # 15*0.2 -> 2.999... -> prefix 3 where 4 is required, dropping
-        # a pair at exactly t=0.8 -- caught by the brute-force
-        # conformance test at both thresholds).
-        plen = ucnt - np.ceil(threshold * ucnt - 1e-9).astype(np.int64) + 1
-        mask = pos < plen[rid[order]]
-        pre = order[mask]  # contained-side prefix rows
-        idx = np.concatenate([rid[pre], rid])  # container side: ALL rows
-        # in-row DF-order position of every flat entry → "shingles at or
-        # after this anchor" (PPJoin positional bound; see
-        # stages/dedup._fused_candidate_rows for losslessness)
-        dfpos = np.empty(len(hs), np.int64)
-        dfpos[order] = pos
-        rem = np.concatenate([ucnt[rid[pre]] - pos[mask], ucnt[rid] - dfpos])
-        return pa.table(
-            {
-                id_col: batch.column(id_col).take(pa.array(idx)),
-                "anchor": pa.array(np.concatenate([hs[pre], hs]), pa.uint64()),
-                "role": pa.array(
-                    np.concatenate(
-                        [np.zeros(len(pre), np.int8), np.ones(len(hs), np.int8)]
-                    )
-                ),
-                "sz": pa.array(ucnt[idx].astype(np.uint32)),
-                "rem": pa.array(rem.astype(np.uint32)),
-            }
-        )
-
-    exploded = slim.map_batches(explode_roles, batch_format="pyarrow")
-
-    def per_runs(block: pa.Table, starts, ends) -> pa.Table:
-        # containment LENGTH filter: C(A,B) ≥ t ⇒ |B| ≥ t·|A| (since
-        # |A∩B| ≤ |B|). Containers in each anchor run are sorted by set
-        # size; each contained doc pairs only with the tail of
-        # qualifying sizes — same windowing as the ngram AllPairs kernel.
-        roles = block.column("role").to_numpy(zero_copy_only=False)
-        ids = block.column(id_col).to_numpy(zero_copy_only=False)
-        szs = block.column("sz").to_numpy(zero_copy_only=False).astype(np.float64)
-        rems = block.column("rem").to_numpy(zero_copy_only=False).astype(np.float64)
-        out_a, out_b = [], []
-        for s, e in zip(starts, ends):
-            rr = roles[s:e]
-            qm = rr == 0
-            if not qm.any() or qm.all():
-                continue
-            qid, qsz = ids[s:e][qm], szs[s:e][qm]
-            qrem = rems[s:e][qm]
-            cid, csz = ids[s:e][~qm], szs[s:e][~qm]
-            crem = rems[s:e][~qm]
-            o = np.argsort(csz, kind="stable")
-            cid, csz, crem = cid[o], csz[o], crem[o]
-            lo = np.searchsorted(csz, qsz * threshold - 1e-9, side="left")
-            cnt = len(cid) - lo
-            total = int(cnt.sum())
-            if not total:
-                continue
-            ai = np.repeat(np.arange(len(qid)), cnt)
-            bj = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(cnt) - cnt, cnt
-            ) + lo[ai]
-            # PPJoin positional bound: C(A,B) ≥ t ⟺ |A∩B| ≥ t·|A|
-            # (lossless — see stages/dedup._fused_candidate_rows)
-            ub = np.minimum(qrem[ai], crem[bj])
-            ok = ub >= threshold * qsz[ai] - 1e-9
-            a, b = qid[ai[ok]], cid[bj[ok]]
-            ne = a != b
-            out_a.append(a[ne])
-            out_b.append(b[ne])
-        if out_a:
-            a, b = np.concatenate(out_a), np.concatenate(out_b)
-        else:
-            a = b = []
-        return pa.table({"id_a": pa.array(a, id_type), "id_b": pa.array(b, id_type)})
-
-    pairs = map_key_runs(exploded, "anchor", per_runs, num_partitions)
-
-    def containment(inter: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-        # vectorized over a candidate batch (see _pair_set_verify)
-        return np.where(la > 0, inter / np.maximum(la, 1.0), 0.0)
-
-    from raydedup.stages.grouped import meta_count
-
-    return _pair_set_verify(
-        pairs, slim, id_col, text_col, n, num_partitions, "containment",
-        containment, threshold, broadcast_limit_rows=broadcast_limit_rows,
-        n_docs=meta_count(ds),
-    )
+    return _ngram_set_join(ds, id_col, text_col, n, threshold, num_partitions, "containment")
 
 
 # ---------------------------------------- LSH-Ensemble-style approximation

@@ -330,20 +330,24 @@ def test_flat_ngram_hashes_match_python_shingles():
 
 
 def test_allpairs_kernel_property_random_thresholds():
-    """Property test for the fused AllPairs kernel (prefix + length +
-    PPJoin positional filters + searchsorted scoring) against exact
-    brute force over random corpora and RANDOM thresholds — the
+    """Property test for the AllPairs kernels on one block (prefix +
+    length + PPJoin positional filters, then code scoring) against
+    exact brute force over random corpora and RANDOM thresholds — the
     boundary class where floor/ceil float error bites (the r04
     prefix-underflow bug fired only at binary-inexact thresholds).
-    Pure numpy, no Ray: the distributed paths share these formulas."""
+    Pure numpy, no Ray: the operators run these same functions per
+    block, with a count-min DF estimate in place of the exact DF."""
     import pyarrow as pa
 
     from raydedup.hashing import word_ngram_shingles
     from raydedup.stages.dedup import (
-        _fused_candidate_rows,
-        _fused_score_chunk,
-        _ngram_prep,
+        _allpairs_window_pairs,
+        _code_intersections,
+        _containment_window_pairs,
+        _prefix_explode,
+        _scored_pairs,
     )
+    from raydedup.suffix import flat_ngram_hashes64, unique_per_row
 
     rng = np.random.default_rng(3)
     vocab = [f"t{k}" for k in range(20)]
@@ -360,27 +364,52 @@ def test_allpairs_kernel_property_random_thresholds():
                     int(rng.integers(0, len(vocab)))
                 ]
             docs.append(" ".join(src))
-        t = pa.table({"doc_id": [f"d{i}" for i in range(len(docs))], "text": docs})
+        t = pa.table({"doc_id": pa.array(range(len(docs)), pa.int64()), "text": docs})
         sets = [word_ngram_shingles(d, n=3) for d in docs]
+        cnt, w = flat_ngram_hashes64(t.column("text"), 3)
+        lens, hs = unique_per_row(cnt, w)
+        uniq, codes, df = np.unique(hs, return_inverse=True, return_counts=True)
+        offs = np.cumsum(lens) - lens
         threshold = float(rng.choice([0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 2 / 3, 5 / 7]))
         for mode in ("jaccard", "containment"):
-            prep = _ngram_prep(t, "text", 3)
-            ri, rj = _fused_candidate_rows(t, "text", 3, threshold, mode, prep=prep)
-            kp, sc = _fused_score_chunk(prep, ri, rj, threshold, mode)
-            got = {(int(ri[k]), int(rj[k])) for k in kp}
-            want = set()
+            rows = _prefix_explode(
+                t, "doc_id", "text", 3, threshold,
+                lambda h: df[np.searchsorted(uniq, h)], mode,
+            ).sort_by("anchor")
+            anc = rows.column("anchor").to_numpy()
+            change = np.flatnonzero(anc[1:] != anc[:-1]) + 1
+            starts, ends = np.r_[0, change], np.r_[change, len(anc)]
+            szs = rows.column("sz").to_numpy().astype(np.float64)
+            rems = rows.column("rem").to_numpy().astype(np.float64)
+            if mode == "jaccard":
+                a, b = _allpairs_window_pairs(
+                    rows.column("doc_id"), szs, rems, starts, ends, threshold
+                )
+            else:
+                a, b = _containment_window_pairs(
+                    rows.column("doc_id"), rows.column("role").to_numpy(),
+                    szs, rems, starts, ends, threshold,
+                )
+            cand = np.unique(np.stack([a.to_numpy(), b.to_numpy()], axis=1), axis=0)
+            ia, ib = cand[:, 0], cand[:, 1]
+            inter = _code_intersections(codes, offs, lens, ia, ib, len(uniq))
+            out = _scored_pairs(
+                pa.array(ia), pa.array(ib), inter, lens[ia], lens[ib], threshold, mode
+            ).to_pydict()
+            got = dict(zip(zip(out["id_a"], out["id_b"]), out[mode]))
+            want = {}
             for x in range(len(docs)):
                 for y in range(len(docs)):
                     A, B = sets[x], sets[y]
                     if not A or not B or x == y:
                         continue
-                    inter = len(A & B)
+                    inter_xy = len(A & B)
                     if mode == "jaccard":
-                        if x < y and inter / len(A | B) >= threshold:
-                            want.add((x, y))
-                    elif inter / len(A) >= threshold:
-                        want.add((x, y))
-            assert got == want, (trial, mode, threshold, got ^ want)
+                        if x < y and inter_xy / len(A | B) >= threshold:
+                            want[(x, y)] = inter_xy / len(A | B)
+                    elif inter_xy / len(A) >= threshold:
+                        want[(x, y)] = inter_xy / len(A)
+            assert got == want, (trial, mode, threshold, got.keys() ^ want.keys())
 
 
 _SIG_STAGE_DOCS = (

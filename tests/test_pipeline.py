@@ -337,95 +337,14 @@ def test_stage_functions_accept_empty_inputs(ray_session):
     assert connected_components(ee).num_rows == 0
 
 
-def test_ngram_fused_matches_distributed(ray_session, corpus, monkeypatch):
-    """The metadata-small fused AllPairs path (NGRAM_FUSED_DOCS gate)
-    must produce the identical (id_a, id_b, jaccard) set as the
-    distributed AllPairs+verify path: exact-DF vs count-min prefix
-    order changes only intermediate candidate volume, never the
-    verified pair set, and both score with the same double division."""
-    import ray.data as rd
-
-    import raydedup.stages.dedup as dd
-
-    table, _ = corpus
-    docs = pa.table(
-        {"doc_id": table.column("image_id"), "text": table.column("caption")}
-    )
-    assert len(docs) <= dd.NGRAM_FUSED_DOCS  # the gate engages
-    fused = dd.ngram_jaccard_pairs(
-        rd.from_arrow(docs), "doc_id", "text", n=3, threshold=0.5
-    ).take_all()
-    monkeypatch.setattr(dd, "NGRAM_FUSED_DOCS", 0)
-    dist = dd.ngram_jaccard_pairs(
-        rd.from_arrow(docs), "doc_id", "text", n=3, threshold=0.5
-    ).take_all()
-    kf = sorted((r["id_a"], r["id_b"], round(r["jaccard"], 12)) for r in fused)
-    kd = sorted((r["id_a"], r["id_b"], round(r["jaccard"], 12)) for r in dist)
-    assert kf == kd
-    assert len(kf) > 0  # the synth corpus plants caption near-dups
-
-
-def test_containment_fused_matches_distributed(ray_session, corpus, monkeypatch):
-    """Asymmetric mode of the fused path: contained-side-only prefix,
-    ordered (contained, container) pairs, |A∩B|/|A| scoring — identical
-    to the distributed inverted-index join pair-for-pair."""
-    import ray.data as rd
-
-    import raydedup.stages.dedup as dd
-    from raydedup.stages.topk import containment_pairs_exact
-
-    table, _ = corpus
-    docs = pa.table(
-        {"doc_id": table.column("image_id"), "text": table.column("caption")}
-    )
-    fused = containment_pairs_exact(
-        rd.from_arrow(docs), "doc_id", "text", n=3, threshold=0.5
-    ).take_all()
-    monkeypatch.setattr(dd, "NGRAM_FUSED_DOCS", 0)
-    dist = containment_pairs_exact(
-        rd.from_arrow(docs), "doc_id", "text", n=3, threshold=0.5
-    ).take_all()
-    kf = sorted((r["id_a"], r["id_b"], round(r["containment"], 12)) for r in fused)
-    kd = sorted((r["id_a"], r["id_b"], round(r["containment"], 12)) for r in dist)
-    assert kf == kd
-    assert len(kf) > 0
-
-
-def test_fused_parallel_scoring_branch(ray_session, corpus, monkeypatch):
-    """Force the fused path's fan-out branch (candidate sets above
-    _FUSED_INLINE_PAIRS score via the parallel map over the broadcast
-    corpus) and assert it matches the inline branch exactly — pytest
-    corpora never cross the 512k-pair gate on their own."""
-    import ray.data as rd
-
-    import raydedup.stages.dedup as dd
-
-    table, _ = corpus
-    docs = pa.table(
-        {"doc_id": table.column("image_id"), "text": table.column("caption")}
-    )
-
-    def run():
-        return sorted(
-            (r["id_a"], r["id_b"], round(r["jaccard"], 12))
-            for r in dd.ngram_jaccard_pairs(
-                rd.from_arrow(docs), "doc_id", "text", n=3, threshold=0.5
-            ).take_all()
-        )
-
-    inline = run()
-    monkeypatch.setattr(dd, "_FUSED_INLINE_PAIRS", 0)
-    fanout = run()
-    assert inline == fanout and len(inline) > 0
-
-
 @pytest.mark.parametrize("threshold", [0.5, 0.8])
 def test_ngram_pairs_match_bruteforce(ray_session, threshold, monkeypatch):
-    """Ground-truth conformance for the AllPairs paths at BOTH common
+    """Ground-truth conformance for the AllPairs join at BOTH common
     thresholds (the SQL oracle pins t=0.5 only): exact Python
-    shingle-set Jaccard/containment over all O(n²) pairs vs the fused
-    AND distributed pipelines — validates the prefix, length and
-    PPJoin positional filters end-to-end."""
+    shingle-set Jaccard/containment over all O(n²) pairs vs the
+    operators on BOTH verify branches (broadcast, then keyed shuffle)
+    — validates the prefix, length and PPJoin positional filters and
+    both code sources end-to-end."""
     import ray.data as rd
 
     import raydedup.stages.dedup as dd
@@ -463,8 +382,8 @@ def test_ngram_pairs_match_bruteforce(ray_session, threshold, monkeypatch):
             if x != y and inter / len(A) >= threshold:
                 want_c.add((ids[x], ids[y]))
 
-    for forced_gate in (dd.NGRAM_FUSED_DOCS, 0):  # fused, then distributed
-        monkeypatch.setattr(dd, "NGRAM_FUSED_DOCS", forced_gate)
+    for limit in (dd.VERIFY_BROADCAST_DOCS, 0):  # broadcast, then shuffle
+        monkeypatch.setattr(dd, "VERIFY_BROADCAST_DOCS", limit)
         got_j = {
             (r["id_a"], r["id_b"])
             for r in dd.ngram_jaccard_pairs(

@@ -528,11 +528,16 @@ def test_hll_wire_format_round_trips_with_reference(reference_datasketch):
     assert np.array_equal(refpp2.reg, refpp.reg)
 
 
-def test_batch_intersection_kernels():
-    """_blob_values + _batch_intersections match per-pair np.intersect1d."""
+def test_batch_intersection_kernels(monkeypatch):
+    """_blob_values + _code_intersections match per-pair np.intersect1d
+    with both code sources: global codes (one np.unique over every set,
+    the broadcast verify) and block-local codes (np.unique over a
+    gathered block, the shuffle verify); a small chunk size covers
+    chunk boundaries."""
     import pyarrow as pa
 
-    from raydedup.stages.dedup import _batch_intersections, _blob_values
+    import raydedup.stages.dedup as dd
+    from raydedup.stages.dedup import _blob_values, _code_intersections
 
     rng = np.random.default_rng(11)
     sets = []
@@ -540,29 +545,38 @@ def test_batch_intersection_kernels():
         k = int(rng.integers(0, 30))
         sets.append(np.unique(rng.integers(0, 50, size=k).astype(np.uint64)))
     blob_arr = pa.array([s.tobytes() for s in sets] + [None], pa.binary())
+    sets.append(np.empty(0, np.uint64))  # the null row reads as an empty set
     # sliced array exercises the arr.offset path
-    for arr in (blob_arr, blob_arr.slice(3, 150)):
+    for arr, base in ((blob_arr, 0), (blob_arr.slice(3, 150), 3)):
         vals, lens = _blob_values(arr)
         off = np.cumsum(lens) - lens
-        base = 3 if arr is not blob_arr else 0
         for i, (o, c) in enumerate(zip(off, lens)):
-            assert np.array_equal(vals[o : o + c], sets[base + i] if base + i < len(sets) else np.empty(0, np.uint64))
+            assert np.array_equal(vals[o : o + c], sets[base + i])
     ia = rng.integers(0, len(sets), size=500)
     ib = rng.integers(0, len(sets), size=500)
-    va, la = _blob_values(blob_arr.take(pa.array(ia)))
-    vb, lb = _blob_values(blob_arr.take(pa.array(ib)))
-    got = _batch_intersections(va, la, vb, lb)
     want = [len(np.intersect1d(sets[a], sets[b], assume_unique=True)) for a, b in zip(ia, ib)]
-    assert got.tolist() == want
-    assert _batch_intersections(*_blob_values(pa.array([], pa.binary())), *_blob_values(pa.array([], pa.binary()))).tolist() == []
+
+    def scored(arr, ra, rb):
+        vals, lens = _blob_values(arr)
+        uniq, codes = np.unique(vals, return_inverse=True)
+        return _code_intersections(codes, np.cumsum(lens) - lens, lens, ra, rb, len(uniq)).tolist()
+
+    block = blob_arr.take(pa.array(np.concatenate([ia, ib])))
+    for chunk in (dd._SCORE_CHUNK, 64):
+        monkeypatch.setattr(dd, "_SCORE_CHUNK", chunk)
+        assert scored(blob_arr, ia, ib) == want  # global codes
+        assert scored(block, np.arange(500), np.arange(500, 1000)) == want  # block-local
+    none = np.empty(0, np.int64)
+    assert scored(pa.array([], pa.binary()), none, none) == []
 
 
-def test_ngram_jaccard_shuffle_branch_matches_broadcast(ray_session):
-    """The keyed-shuffle verify path (broadcast_limit_rows=0) returns the
-    same scored pairs as the broadcast path and as brute force."""
+def test_ngram_jaccard_shuffle_branch_matches_broadcast(ray_session, monkeypatch):
+    """The keyed-shuffle verify path (VERIFY_BROADCAST_DOCS=0) returns
+    the same scored pairs as the broadcast path and as brute force."""
     import pyarrow as pa
     import ray.data as rd
 
+    import raydedup.stages.dedup as dd
     from raydedup.hashing import word_ngram_shingles
     from raydedup.stages.dedup import ngram_jaccard_pairs
 
@@ -577,15 +591,16 @@ def test_ngram_jaccard_shuffle_branch_matches_broadcast(ray_session):
     t = pa.table({"doc_id": pa.array(range(80), pa.int64()), "text": pa.array(texts)})
 
     def run(limit):
+        monkeypatch.setattr(dd, "VERIFY_BROADCAST_DOCS", limit)
         return {
             (r["id_a"], r["id_b"]): r["jaccard"]
             for r in ngram_jaccard_pairs(
                 rd.from_arrow(t), "doc_id", "text", n=3, threshold=0.4,
-                num_partitions=4, broadcast_limit_rows=limit,
+                num_partitions=4,
             ).take_all()
         }
 
-    broad, shuf = run(100_000), run(0)
+    broad, shuf = run(dd.VERIFY_BROADCAST_DOCS), run(0)
     assert broad == shuf
     sh = [word_ngram_shingles(x, 3) for x in texts]
     want = {}
