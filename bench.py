@@ -301,10 +301,13 @@ def run_components() -> dict:
     Graph shape mirrors a near-dup pair table: overwhelmingly tiny
     clusters (stars of 1-3 edges), a few hot stars (skew probes), and
     one long chain (propagation-depth stress), with a 30% duplicate-edge
-    multiset on top (band/mode duplicates). Both paths run through
-    ``connected_components`` on that multiset: the driver union-find
-    takes duplicates as they are, and the distributed peel pass dedupes
-    them. Labels are checked identical."""
+    multiset on top (band/mode duplicates). Both paths run on
+    the same multiset: the driver union-find takes duplicates as they
+    are. The distributed leg is ``components_distributed`` with
+    ``driver_finish_rows=0``, so it runs the peel pass (which dedupes),
+    the star rounds to their fixpoint and the relabel; through
+    ``connected_components`` it would finish on the driver as soon as
+    the distinct edges fit 4M rows. Labels are checked identical."""
     import numpy as np
     import pyarrow as pa
     import ray
@@ -354,25 +357,27 @@ def run_components() -> dict:
     idb = np.char.add("img", b[perm].astype("U9"))
     table = pa.table({"id_a": pa.array(ida), "id_b": pa.array(idb)})
 
-    from raydedup.stages.components import connected_components
+    from raydedup.stages.components import components_distributed, components_driver
     edges = rd.from_arrow(table).materialize()
     # warm the worker pool untimed
     rd.range(NUM_CPUS * 4, override_num_blocks=NUM_CPUS * 4).map_batches(
         lambda t: t, batch_format="pyarrow", num_cpus=1
     ).count()
 
-    def run(max_driver: int):
+    def run(distributed: bool):
         t0 = time.perf_counter()
-        res = connected_components(edges, max_driver_edges=max_driver)
-        if hasattr(res, "to_arrow_refs"):
+        if distributed:
+            res = components_distributed(edges, driver_finish_rows=0)
             res = pa.concat_tables(ray.get(res.to_arrow_refs()))
+        else:
+            res = components_driver(edges)
         return time.perf_counter() - t0, res
 
     reps = int(os.environ.get("RAYDEDUP_CC_REPEATS", "2"))
     t_drv, t_dist, labels = [], [], []
     for _ in range(reps):  # alternate within one process (VM-noise protocol)
-        td, res_d = run(max_driver=2**62)
-        tx, res_x = run(max_driver=0)
+        td, res_d = run(distributed=False)
+        tx, res_x = run(distributed=True)
         t_drv.append(td)
         t_dist.append(tx)
         labels = [res_d, res_x]

@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raydedup.stages.grouped import map_key_runs
+from raydedup.stages.grouped import map_blocks, map_key_runs
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -245,7 +245,7 @@ def fused_candidate_pairs(
     def explode(batch: pa.Table) -> pa.Table:
         return fused_band_explode(batch, b, r, id_col, num_perm, simhash_bands, exact_cols)
 
-    band_ds = sig_ds.map_batches(explode, batch_format="pyarrow")
+    band_ds = map_blocks(sig_ds, explode)
 
     def emit(block: pa.Table, starts, ends) -> pa.Table:
         """Fully vectorized pair emission (the per-run Python loop with

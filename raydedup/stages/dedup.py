@@ -24,25 +24,6 @@ import pyarrow.compute as pc
 
 from raydedup.hashing import ragged_arange
 
-_worker_obj_cache: dict = {}
-
-
-def _cached_object(ref):
-    """Per-worker deserialized view of a broadcast ``ray.put`` object
-    (ray.get re-deserializes Python objects per call; stages that probe
-    a broadcast filter per batch want it resident once per process)."""
-    import ray
-
-    key = ref.hex()
-    v = _worker_obj_cache.get(key)
-    if v is None:
-        if len(_worker_obj_cache) > 8:  # a handful of live refs per run
-            _worker_obj_cache.clear()
-        v = ray.get(ref)
-        _worker_obj_cache[key] = v
-    return v
-
-
 # ---------------------------------------------------------------- exact dedup
 def add_content_hash(batch: pa.Table, cols: list[str], out_col: str = "content_hash") -> pa.Table:
     """Vectorized-ish content hash (SHA1 hex of the concatenated column
@@ -267,8 +248,9 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4):
        blocks and collapses identical texts into classes
        (``substring_query_classes``), so an exact-duplicate flood costs
        one class, not m² candidates.
-    2. *broadcast*: the class table is ``ray.put`` once and read per
-       worker through ``_cached_object``. It grows with the corpus at
+    2. *broadcast*: the class table rides in the verify function,
+       which ``map_blocks`` ships once with ``ray.put``; each task
+       deserializes it once. It grows with the corpus at
        ≈ 50 B per distinct query text: ≈ 2 MB at 36k docs, ≈ 5 MB at
        92k, ≈ 250 MB at 5M (shared zero-copy through the object store).
     3. *verify* (``substring_verify_batch``): each doc, as a container,
@@ -276,25 +258,28 @@ def substring_pairs(ds, id_col: str, text_col: str, window: int = 4):
        probe the class anchors, and every hit is verified with one
        prefix-sum hash compare. No text moves between tasks.
 
-    An empty corpus returns a typed empty dataset after the pre-pass."""
+    Both passes are ``grouped.map_blocks`` tasks over the same blocks:
+    a lazy input is read once (projected to the two columns) and
+    pinned first; a pinned input (the pipeline's signature table) is
+    used as it is, and each task selects the two columns itself. An
+    empty corpus returns a typed empty dataset after the pre-pass."""
     import ray
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
-    slim = ds.select_columns([id_col, text_col])
-    blocks = ray.get(
-        slim.map_batches(
-            lambda b: substring_query_rows(b, id_col, text_col, window), batch_format="pyarrow"
-        ).to_arrow_refs()
-    )
-    blocks = [b for b in blocks if b.num_rows]
+    from raydedup.stages.grouped import map_blocks
+
+    cols = [id_col, text_col]
+    src = ds
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.select_columns(cols).materialize()
+    queries = map_blocks(ds, lambda b: substring_query_rows(b.select(cols), id_col, text_col, window))
+    blocks = [b for b in ray.get(queries.to_arrow_refs()) if b.num_rows]
     if not blocks:
-        id_type = ds.schema().base_schema.field(id_col).type
+        id_type = src.schema().base_schema.field(id_col).type
         return rd.from_arrow(pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type)}))
-    ref = ray.put(substring_query_classes(pa.concat_tables(blocks), id_col, window))
-    return slim.map_batches(
-        lambda b: substring_verify_batch(b, id_col, text_col, window, _cached_object(ref)),
-        batch_format="pyarrow",
-    )
+    classes = substring_query_classes(pa.concat_tables(blocks), id_col, window)
+    return map_blocks(ds, lambda b: substring_verify_batch(b.select(cols), id_col, text_col, window, classes))
 
 
 # ------------------------------------- exact n-gram set join (AllPairs)

@@ -17,7 +17,8 @@ tiny groups (LSH buckets, anchor windows). This helper instead:
 This is the engine's primitive for all bucket-shaped shuffles; the
 partition count P is the knob that maps to cluster width. It starts no
 actors, and neither do the queries' ``groupby`` aggregates, which run
-on Ray's default sort-based shuffle.
+on Ray's default sort-based shuffle. ``map_blocks`` runs a small map
+over a pinned table as at most one plain Ray task per CPU.
 """
 
 from __future__ import annotations
@@ -112,6 +113,50 @@ def staged(ds):
     in practice: every consumer of these outputs is itself an
     all-to-all."""
     return ds.materialize()
+
+
+def _map_blocks_task(fn, *blocks) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    return pa.concat_tables([fn(BlockAccessor.for_block(b).to_arrow()) for b in blocks])
+
+
+_remote_map_blocks = None
+
+
+def map_blocks(ds, fn):
+    """``fn(pa.Table) -> pa.Table`` over every non-empty block of
+    ``ds``, as at most P = ``effective_partitions`` plain Ray tasks.
+    Each task takes ⌈blocks/P⌉ contiguous blocks, calls ``fn`` once per
+    block and returns one Arrow block; the result is a materialized
+    Dataset of those blocks.
+
+    For small maps over pinned data. Before an operator's first task
+    reports its output size, Ray Data 2.49 budgets it at twice
+    ``target_max_block_size`` (256 MiB), which is the whole Ray Data
+    store share of a 512 MiB object store, so a ``map_batches`` over a
+    pinned 13-block table ran one ~15 ms task at a time on 2 CPUs. The
+    cap of P tasks is deliberate: one task per block queued more tasks
+    than CPUs and the raylet started extra workers (≈ 77 MB each).
+
+    Runs eagerly; a lazy ``ds`` executes once, here. Zero-row input
+    blocks are dropped on the driver from the block metadata, so ``fn``
+    never sees one, as with ``map_batches``; an input with no rows
+    returns an empty Dataset with no blocks."""
+    import ray
+    import ray.data as rd
+
+    global _remote_map_blocks
+    blocks = [ref for bundle in ds.iter_internal_ref_bundles() for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if not blocks:
+        return rd.from_arrow_refs([])
+    if _remote_map_blocks is None:
+        _remote_map_blocks = ray.remote(_map_blocks_task)
+    fn_ref = ray.put(fn)
+    per = -(-len(blocks) // effective_partitions(len(blocks)))
+    return rd.from_arrow_refs(
+        [_remote_map_blocks.remote(fn_ref, *blocks[i : i + per]) for i in range(0, len(blocks), per)]
+    )
 
 
 def task_stage(cls, **kwargs):

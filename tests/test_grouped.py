@@ -613,3 +613,35 @@ ray.shutdown()
     assert proc.returncode == 0, err[-2000:]
     assert out.split()[-2:] == ["2000", "500"]
 
+
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[30, 25], [10, 20, 30, 40], [7] * 11, [], [12, 0, 9]],
+    ids=["fewer_than_P", "exactly_P", "more_than_P", "empty", "zero_row_block"],
+)
+def test_map_blocks_matches_map_batches(ray_session, sizes):
+    """``map_blocks`` returns the rows a ``map_batches`` of the same
+    function returns, in input order, in at most P blocks; ``fn`` never
+    sees a zero-row block. The test session has 4 CPUs, so P = 4."""
+    import ray.data as rd
+
+    from raydedup.stages.grouped import effective_partitions, map_blocks
+
+    assert effective_partitions(1 << 30) == 4
+    starts = np.cumsum([0] + sizes[:-1]) if sizes else []
+    tables = [pa.table({"v": pa.array(np.arange(s, s + n), pa.int64())}) for s, n in zip(starts, sizes)]
+    ds = rd.from_arrow(tables or pa.table({"v": pa.array([], pa.int64())}))
+
+    def even_doubled(batch: pa.Table) -> pa.Table:
+        assert batch.num_rows > 0
+        v = batch.column("v").to_numpy(zero_copy_only=False)
+        v = v[v % 2 == 0]
+        return pa.table({"v": pa.array(v), "w": pa.array(v * 2)})
+
+    out = map_blocks(ds, even_doubled)
+    want = ds.map_batches(even_doubled, batch_format="pyarrow").take_all()
+    assert out.take_all() == sorted(want, key=lambda r: r["v"])
+    assert out.num_blocks() <= 4
+    assert out.count() == sum(sizes) // 2 + sum(sizes) % 2

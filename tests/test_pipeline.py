@@ -194,6 +194,21 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     assert not [m for m in out3["metrics"] if m.get("reused")]
 
 
+def test_pinned_stage_metrics(ray_session, corpus):
+    """Without a checkpoint dir each pinned stage's metrics record
+    carries the rows and blocks of the Dataset it returns."""
+    import ray.data as rd
+
+    table, _ = corpus
+    out = dedup_pipeline(rd.from_arrow(table), DedupConfig())
+    pinned = {m["stage"]: m for m in out["metrics"] if "rows" in m}
+    assert set(pinned) == {"signatures", "pairs_bands", "pairs_substring", "pairs"}
+    assert pinned["signatures"]["rows"] == table.num_rows
+    assert pinned["signatures"]["blocks"] == out["signatures"].num_blocks() >= 1
+    assert pinned["pairs"]["rows"] == pinned["pairs_bands"]["rows"] + pinned["pairs_substring"]["rows"]
+    assert all(m["blocks"] >= 1 for m in pinned.values())
+
+
 def test_decode_invariant(corpus):
     """Per-row invariant (input_hint): decode every payload; lossless
     rows bit-exact, lossy rows PSNR ≥ 40 dB vs the pre-quantization
