@@ -151,8 +151,7 @@ def run_bench() -> dict:
     import ray.data as rd
 
     from raydedup.pipeline import DedupConfig, dedup_pipeline
-    from raydedup.stages.grouped import task_stage
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
 
     start_session()
 
@@ -168,23 +167,16 @@ def run_bench() -> dict:
 
     sig_cols = ["image_id", "caption", "phash"]
 
-    # signatures/sec (north-rule throughput metric): signature stage
-    # alone, task-based (state is tiny + seed-derived), counted without
-    # shipping the signature blocks to the driver
-    sig_fn = task_stage(SignatureStage, num_perm=128, seed=1, shingle="word3")
+    # signatures/sec (north-rule throughput metric): the pipeline's own
+    # signature map alone, counted without shipping the signature blocks
+    # to the driver
     t0 = time.perf_counter()
-    n_rows = (
-        rd.read_parquet(img_path, columns=sig_cols)
-        .map_batches(sig_fn, batch_format="pyarrow", batch_size=256, num_cpus=1)
-        .count()
-    )
+    n_rows = signature_map(rd.read_parquet(img_path, columns=sig_cols)).count()
     sig_sec = time.perf_counter() - t0
 
     # headline: full fused pipeline (signatures recomputed inside)
     t0 = time.perf_counter()
-    # partitions auto-sized from input rows (capped at cluster CPUs) —
-    # forcing NUM_CPUS partitions pays ~0.1s aggregator spawn per
-    # partition per shuffle, ~25% of flagship wall at this corpus size
+    # partitions auto-sized from input rows (capped at cluster CPUs)
     cfg = DedupConfig()
     ds = rd.read_parquet(img_path, columns=sig_cols + ["w", "h", "fmt"])
     out = dedup_pipeline(ds, cfg)

@@ -31,16 +31,11 @@ from raydedup.params import optimal_param
 from raydedup.stages.bands import fused_candidate_pairs
 from raydedup.stages.components import connected_components
 from raydedup.stages.dedup import substring_pairs
-from raydedup.stages.grouped import task_stage
-from raydedup.stages.signatures import SignatureStage
+from raydedup.stages.signatures import signature_map
 
 # SimHash bit-bands over the 64-bit phash: pigeonhole catches every pair
 # at Hamming distance ≤ SIMHASH_BANDS - 1 (= 3)
 SIMHASH_BANDS = 4
-# rows per signature map batch: amortizes the per-op numpy cost of the
-# SHA-1 rounds; the permute buffers stay ≤ ~17 MB (minhash_batch_hashed
-# chunks of 8,192 tokens)
-SIGNATURE_BATCH_SIZE = 1024
 
 
 @dataclass
@@ -169,20 +164,14 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
     ck = Checkpointer(cfg.checkpoint_dir, cfg.fingerprint())
 
     def build_signatures():
-        # stateless map tasks; the (tiny, seed-derived) permutation
-        # state is rebuilt once per task — task scheduling is elastic
-        # where an actor pool pays spin-up + ramp
-        fn = task_stage(
-            SignatureStage,
+        return signature_map(
+            ds,
             num_perm=cfg.num_perm,
             seed=cfg.seed,
             shingle=cfg.shingle,
             text_col=cfg.text_col,
             phash_col=cfg.phash_col,
             hashfunc=cfg.hashfunc,
-        )
-        return ds.map_batches(
-            fn, batch_format="pyarrow", batch_size=SIGNATURE_BATCH_SIZE, num_cpus=1
         )
 
     # The signature table is consumed by several downstream branches

@@ -458,8 +458,8 @@ def q_hll_users_per_type(sf_dir: str):
 
 
 def _sum_by_keys(ds, keys: list[str], val: str, out: str, num_partitions: int = 8):
-    """Grouped integer sum as a keyed-run kernel: hash-partition + one
-    per-block lexsort + ``np.add.reduceat`` over run starts — measured
+    """Grouped integer sum as a keyed-run kernel: range-partition sort +
+    one per-block lexsort + ``np.add.reduceat`` over run starts — measured
     ~2× faster than ``groupby().aggregate(Sum)`` on ~100k-row grouped
     tables (Ray's hash aggregate pays per-group combine machinery that
     a contiguous-run reduction doesn't)."""
@@ -1456,25 +1456,13 @@ def q_cross_source_neardup(sf_dir: str):
         staged,
         unique_rows_partitioned,
     )
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
 
     b, r, num_perm = 9, 13, 128
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
     parts = auto_partitions(ds)
-    sigs = ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=num_perm,
-            seed=1,
-            shingle="word3",
-            text_col="text",
-            phash_col=None,
-            hashfunc="md5",
-            drop_cols=("text",),
-        ),
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        max_restarts=0,
+    sigs = signature_map(
+        ds, text_col="text", phash_col=None, hashfunc="md5", drop_cols=("text",)
     )
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -1492,11 +1480,9 @@ def q_cross_source_neardup(sf_dir: str):
             }
         )
 
-    # staged(): the signature actor pool holds every CPU slot of a
-    # small session while it is live in the same plan as the shuffle.
-    # Materializing the slim band rows retires the pool before the
-    # shuffle starts — exactly how dedup_pipeline sequences the same
-    # stages.
+    # staged(): the slim band rows are materialized before the keyed
+    # sort starts, so the signature map never shares a plan with it —
+    # exactly how dedup_pipeline sequences the same stages.
     band_ds = staged(sigs.map_batches(explode, batch_format="pyarrow"))
 
     def emit(block: pa.Table, starts, ends) -> pa.Table:
@@ -1760,28 +1746,16 @@ def q_topk_similar_docs(sf_dir: str):
     """Forest-style top-10 most-similar (estimated Jaccard) for doc_ids
     0..4 — broadcast queries + one scan (rows-only: estimates are not
     SQL-reproducible)."""
-    from raydedup.hashing import generate_permutations, word_ngram_shingles
-    from raydedup.minhash import minhash_batch
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.schema import sig_to_numpy
+    from raydedup.stages.signatures import SignatureStage, signature_map
     from raydedup.stages.topk import topk_similar
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    sig_ds = ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None, hashfunc="md5"
-        ),
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-        max_restarts=0,
-    )
+    sig_ds = signature_map(ds, text_col="text", phash_col=None, hashfunc="md5")
     qrows = _select_rows(ds, "doc_id", (0, 1, 2, 3, 4))
-    a, b = generate_permutations(128, 1)
-    qsigs = minhash_batch(
-        [sorted(word_ngram_shingles(r["text"], 3)) for r in qrows], a, b, hashfunc="md5"
-    )
+    qstage = SignatureStage(text_col="text", phash_col=None, hashfunc="md5")
+    qtext = pa.table({"text": pa.array([r["text"] for r in qrows], pa.string())})
+    qsigs = sig_to_numpy(qstage(qtext).column("minhash"))
     return topk_similar(sig_ds, qsigs, [r["doc_id"] for r in qrows], k=10, id_col="doc_id")
 
 
@@ -1793,7 +1767,7 @@ def q_minhash_cardinality_docs(sf_dir: str):
 
     from raydedup.minhash import cardinality_estimate_exact
     from raydedup.schema import sig_to_numpy
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1806,17 +1780,8 @@ def q_minhash_cardinality_docs(sf_dir: str):
             }
         )
 
-    return ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None, hashfunc="md5"
-        ),
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-        max_restarts=0,
-    ).map_batches(est, batch_format="pyarrow")
+    sig_ds = signature_map(ds, text_col="text", phash_col=None, hashfunc="md5")
+    return sig_ds.map_batches(est, batch_format="pyarrow")
 
 
 @query
@@ -1825,21 +1790,11 @@ def q_source_union_signatures(sf_dir: str):
     aggregate, reference ``minhash.py:337-359``); emits the estimated
     distinct-shingle count per source. Rows-only."""
     from raydedup.minhash import cardinality_estimate_exact, minhash_union_aggregate
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
     import numpy as np
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
-    sig_ds = ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None, hashfunc="md5"
-        ),
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-        max_restarts=0,
-    )
+    sig_ds = signature_map(ds, text_col="text", phash_col=None, hashfunc="md5")
     agg = sig_ds.groupby("source").aggregate(minhash_union_aggregate("minhash", 128, alias_name="u"))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -1879,6 +1834,7 @@ def q_weighted_minhash_embeddings(sf_dir: str):
     Rows-only."""
     import numpy as np
 
+    from raydedup.stages.grouped import task_stage
     from raydedup.weighted import WeightedMinHashGenerator
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
@@ -1900,7 +1856,7 @@ def q_weighted_minhash_embeddings(sf_dir: str):
                 }
             )
 
-    return ds.map_batches(WmhStage, batch_format="pyarrow", batch_size=512, concurrency=(1, 4), num_cpus=1, max_restarts=0)
+    return ds.map_batches(task_stage(WmhStage), batch_format="pyarrow", batch_size=512, num_cpus=1)
 
 
 @query
@@ -1909,7 +1865,7 @@ def q_ensemble_containment_docs(sf_dir: str):
     (size-partitioned per-partition (b, r) banding); rows-only."""
     import pyarrow.compute as pc
 
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
     from raydedup.stages.topk import ensemble_containment_candidates
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1920,15 +1876,9 @@ def q_ensemble_containment_docs(sf_dir: str):
         sizes = [len(word_ngram_shingles(t or "", 3)) for t in batch.column("text").to_pylist()]
         return batch.append_column("set_size", pa.array(sizes, pa.int64()))
 
-    sig_ds = ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None),
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-        max_restarts=0,
-    ).map_batches(add_size, batch_format="pyarrow")
+    sig_ds = signature_map(ds, text_col="text", phash_col=None).map_batches(
+        add_size, batch_format="pyarrow"
+    )
     return ensemble_containment_candidates(
         sig_ds, "doc_id", "set_size", threshold=0.5, num_perm=128, num_part=3, max_r=8
     )
@@ -2016,29 +1966,17 @@ def q_forest_topk_docs(sf_dir: str):
     ranking over l=8 trees of k=16 slots) for doc_ids 0..4, md5 hash
     profile — the prefix TABLE is built once and probed by a keyed
     join, never a full scan (stages/topk.forest_prefix_table)."""
-    from raydedup.hashing import generate_permutations, word_ngram_shingles
-    from raydedup.minhash import minhash_batch
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.schema import sig_to_numpy
+    from raydedup.stages.signatures import SignatureStage, signature_map
     from raydedup.stages.topk import forest_prefix_table, forest_topk
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    sig_ds = ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None, hashfunc="md5"
-        ),
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-        max_restarts=0,
-    )
+    sig_ds = signature_map(ds, text_col="text", phash_col=None, hashfunc="md5")
     table = forest_prefix_table(sig_ds, "doc_id", l=8, k=16)
     qrows = _select_rows(ds, "doc_id", (0, 1, 2, 3, 4))
-    a, b = generate_permutations(128, 1)
-    qsigs = minhash_batch(
-        [sorted(word_ngram_shingles(r["text"], 3)) for r in qrows], a, b, hashfunc="md5"
-    )
+    qstage = SignatureStage(text_col="text", phash_col=None, hashfunc="md5")
+    qtext = pa.table({"text": pa.array([r["text"] for r in qrows], pa.string())})
+    qsigs = sig_to_numpy(qstage(qtext).column("minhash"))
     return forest_topk(
         table, qsigs, [r["doc_id"] for r in qrows], topk=10, id_col="doc_id", l=8, k=16
     )
@@ -2417,23 +2355,11 @@ def q_bloom_dedup_filter(sf_dir: str):
 
     from raydedup.bloom import BloomDedupStage, build_band_bloom
     from raydedup.stages.grouped import staged
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
 
     b, r, fp = 16, 8, 1e-4
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    sig_ds = staged(
-        ds.map_batches(
-            SignatureStage,
-            fn_constructor_kwargs=dict(
-                num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None, hashfunc="md5"
-            ),
-            batch_format="pyarrow",
-            batch_size=1024,
-            concurrency=(1, 4),
-            num_cpus=1,
-            max_restarts=0,
-        )
-    )
+    sig_ds = staged(signature_map(ds, text_col="text", phash_col=None, hashfunc="md5"))
     n_total = sig_ds.count()  # staged → metadata-cheap
 
     def _half(keep_even: bool):
@@ -2472,28 +2398,22 @@ def q_lsh_session_dedup(sf_dir: str):
     so ``is_dup(i) ⇔ ∃ j < i sharing a band`` — exactly
     SQL-reproducible with the md5 signature profile.
 
-    Scale shape: signatures are computed distributed (actor-pool
-    map_batches); the index lives in sharded actors (memory bounded by
+    Scale shape: signatures are computed distributed (map tasks,
+    ``signature_map``); the index lives in sharded actors (memory bounded by
     shard count); the driver only streams slim (id, signature) batches
     in arrival order — the sequential order is the SEMANTICS of online
     dedup, not an implementation accident."""
     from raydedup.minhash import band_keys
     from raydedup.schema import sig_to_numpy
     from raydedup.session import MinHashLshSession
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    sig_ds = ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None, hashfunc="md5"
-        ),
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-        max_restarts=0,
-    ).select_columns(["doc_id", "minhash"]).sort("doc_id")
+    sig_ds = (
+        signature_map(ds, text_col="text", phash_col=None, hashfunc="md5")
+        .select_columns(["doc_id", "minhash"])
+        .sort("doc_id")
+    )
 
     sess = MinHashLshSession(threshold=0.8, num_perm=128, num_shards=4)
     try:
@@ -2843,20 +2763,10 @@ def q_source_similarity(sf_dir: str):
     size). Integer slot counts + one exact division → hash-oracled via
     the generated md5-profile SQL."""
     from raydedup.minhash import minhash_union_aggregate
-    from raydedup.stages.signatures import SignatureStage
+    from raydedup.stages.signatures import signature_map
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
-    sig_ds = ds.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=128, seed=1, shingle="word3", text_col="text", phash_col=None, hashfunc="md5"
-        ),
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-        max_restarts=0,
-    )
+    sig_ds = signature_map(ds, text_col="text", phash_col=None, hashfunc="md5")
     agg = (
         sig_ds.groupby("source")
         .aggregate(minhash_union_aggregate("minhash", 128, alias_name="u"))
@@ -2898,7 +2808,7 @@ def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3)
        only (line_hash u64, doc_id, li int32) rows leave the map — the
        line frequency table is corpus-sized, so it is never collected
        or broadcast (contrast ``token_rarity_docs``' small-vocab path).
-    2. *hash shuffle*: runs with ≥ min_count rows emit their (doc_id,
+    2. *keyed sort*: runs with ≥ min_count rows emit their (doc_id,
        li) rows as drop flags (``map_key_runs`` pre-filters smaller
        runs via ``min_run``).
     3. *doc shuffle*: flags union the docs table keyed by doc_id (the

@@ -47,7 +47,7 @@ def add_content_hash(batch: pa.Table, cols: list[str], out_col: str = "content_h
 def exact_dedup(ds, key_cols: list[str], id_col: str, keep_payload: bool = True, num_partitions: int | None = None):
     """Keep one representative (min id) per identical content.
 
-    hash in map_batches (cheap, parallel) → hash-partition on
+    hash in map_batches (cheap, parallel) → range-partition sort on
     content_hash → per-run min-id (stages/grouped.py: one Python call
     per partition, not per group). Only the hash + id transit the
     shuffle unless ``keep_payload`` (then whole rows minus any

@@ -8,7 +8,8 @@ permute in one matrix op, segment-min per row.
 
 State (permutation matrix, doc memo) is built in ``__init__`` from the
 seed — deterministic, never shipped (SURVEY.md §4.3) — once per map
-task under ``grouped.task_stage`` (``pipeline.build_signatures``).
+task under ``grouped.task_stage``. :func:`signature_map` is the one
+signature map: the flagship, the bench and every MinHash query run it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from raydedup.hashing import (
 )
 from raydedup.minhash import minhash_batch, minhash_batch_hashed
 from raydedup.schema import numpy_to_sig
-from raydedup.simhash import simhash_from_phash, simhash_from_tokens
+from raydedup.simhash import simhash_from_phash
+from raydedup.stages.grouped import task_stage
+
+# rows per signature map batch: amortizes the per-op numpy cost of the
+# SHA-1 rounds; the permute buffers stay ≤ ~17 MB (minhash_batch_hashed
+# chunks of 8,192 tokens)
+SIGNATURE_BATCH_SIZE = 1024
 
 
 def make_shingler(kind: str):
@@ -97,7 +104,6 @@ class SignatureStage:
         shingle: str = "word3",
         text_col: str = "caption",
         phash_col: str | None = "phash",
-        simhash_text: bool = False,
         drop_cols: tuple[str, ...] = ("bytes",),
         hashfunc: str = "sha1",
     ):
@@ -105,12 +111,10 @@ class SignatureStage:
         self.a, self.b = generate_permutations(num_perm, seed)
         self.shingler = make_shingler(shingle)
         # word-n shinglers ride the fully-vectorized flat path; char
-        # shingles (and the unused simhash_text combination) keep the
-        # per-row path
+        # shingles keep the per-row path
         self.word_n = int(shingle[4:] or 1) if shingle.startswith("word") else None
         self.text_col = text_col
         self.phash_col = phash_col
-        self.simhash_text = simhash_text
         self.drop_cols = drop_cols
         self.hashfunc = hashfunc
         self.scratch: dict = {}  # reusable permute work buffers (minhash_batch)
@@ -125,10 +129,10 @@ class SignatureStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if len(self.sig_memo) > self.sig_memo_cap:
             self.sig_memo.clear()
-        if self.word_n is not None and not self.simhash_text:
+        if self.word_n is not None:
             sig = self._signatures_flat(batch)
         else:
-            sig, token_lists = self._signatures_rows(batch)
+            sig = self._signatures_rows(batch)
         out = batch
         for c in self.drop_cols:
             if c in out.column_names:
@@ -137,10 +141,6 @@ class SignatureStage:
         if self.phash_col and self.phash_col in batch.column_names:
             ph = batch.column(self.phash_col).to_numpy(zero_copy_only=False)
             out = out.append_column("simhash", pa.array(simhash_from_phash(ph), pa.uint64()))
-        elif self.simhash_text:
-            out = out.append_column(
-                "simhash", pa.array(simhash_from_tokens(token_lists, memo=None), pa.uint64())
-            )
         return out
 
     def _signatures_flat(self, batch: pa.Table) -> np.ndarray:
@@ -172,9 +172,9 @@ class SignatureStage:
             return np.empty((0, self.num_perm), np.uint64)
         return np.stack([self.sig_memo[k] for k in keys])
 
-    def _signatures_rows(self, batch: pa.Table):
-        """Per-row fallback (char shingles / simhash_text): the original
-        shingler + sorted-set path."""
+    def _signatures_rows(self, batch: pa.Table) -> np.ndarray:
+        """Per-row fallback (char shingles): the original shingler +
+        sorted-set path."""
         texts = batch.column(self.text_col).to_pylist()
         token_lists = [sorted(self.shingler(t or "")) for t in texts]
         keys = [b"\x1f".join(toks) for toks in token_lists]
@@ -189,9 +189,19 @@ class SignatureStage:
             )
             for j, i in enumerate(miss):
                 self.sig_memo[keys[i]] = new_sig[j]
-        sig = (
-            np.stack([self.sig_memo[k] for k in keys])
-            if keys
-            else np.empty((0, self.num_perm), np.uint64)
-        )
-        return sig, token_lists
+        if not keys:
+            return np.empty((0, self.num_perm), np.uint64)
+        return np.stack([self.sig_memo[k] for k in keys])
+
+
+def signature_map(ds, **stage_kwargs):
+    """``ds`` with ``SignatureStage(**stage_kwargs)`` applied as
+    ``map_batches`` tasks: the permutation state is tiny and seed-derived,
+    so it is rebuilt once per task, and scheduling stays elastic where an
+    actor pool pays spin-up and a fixed size."""
+    return ds.map_batches(
+        task_stage(SignatureStage, **stage_kwargs),
+        batch_format="pyarrow",
+        batch_size=SIGNATURE_BATCH_SIZE,
+        num_cpus=1,
+    )

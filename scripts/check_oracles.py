@@ -1,7 +1,9 @@
 """Driver-style correctness check: run every queries() entry at a given
 sf_dir and compare against oracle_sql() via DuckDB (row count, schema
 names, order-insensitive value hash); a rows-only query with an entry in
-``raydedup.oracles.VERIFIERS`` runs its verifier instead. Usage:
+``raydedup.oracles.VERIFIERS`` runs its verifier instead. Rows-only and
+verified lines print the result's value hash, so such a result can be
+compared across commits. Usage:
 
     python scripts/check_oracles.py [sf_dir] [query ...]
 """
@@ -84,7 +86,10 @@ def main():
                     failures.append(name)
                     print(f"FAIL {name}: verifier raised {type(e).__name__}: {e}")
                     continue
-            print(f"ok   {name}: rows={len(ours)} cols={sorted(ours.columns)} ({wall:.1f}s) {tag}")
+            print(
+                f"ok   {name}: rows={len(ours)} cols={sorted(ours.columns)} "
+                f"value_hash={value_hash(ours)} ({wall:.1f}s) {tag}"
+            )
             continue
         theirs = con.sql(oracles[name]).df()
         ok_rows = len(ours) == len(theirs)

@@ -463,6 +463,67 @@ def test_signature_stage_matches_reference(reference_datasketch):
         assert np.array_equal(sigs[i], m.hashvalues), f"doc {i}"
 
 
+def test_signature_map_equals_driver_stage(ray_session, monkeypatch):
+    """``signature_map`` over a multi-block dataset (several batches per
+    block) gives the driver-side stage's signatures row for row by id,
+    on both hash profiles; it drops ``bytes`` by default and whatever
+    ``drop_cols`` names."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    import raydedup.stages.signatures as S
+    from raydedup.schema import sig_to_numpy
+
+    monkeypatch.setattr(S, "SIGNATURE_BATCH_SIZE", 8)
+    n = len(_SIG_STAGE_DOCS)
+    table = pa.table(
+        {
+            "doc_id": pa.array(range(n), pa.int64()),
+            "text": pa.array(_SIG_STAGE_DOCS, pa.string()),
+            "bytes": pa.array([b"x"] * n, pa.binary()),
+        }
+    )
+    ds = rd.from_arrow(table).repartition(3).materialize()
+    assert ds.num_blocks() >= 3
+    for kw in (
+        dict(text_col="text", phash_col=None),
+        dict(text_col="text", phash_col=None, hashfunc="md5"),
+    ):
+        want = sig_to_numpy(S.SignatureStage(**kw)(table).column("minhash"))
+        out = pa.concat_tables(ray.get(S.signature_map(ds, **kw).to_arrow_refs()))
+        assert sorted(out.column_names) == ["doc_id", "minhash", "text"], kw
+        ids = out.column("doc_id").to_numpy()
+        assert sorted(ids) == list(range(n))
+        assert np.array_equal(sig_to_numpy(out.column("minhash")), want[ids]), kw
+    dropped = S.signature_map(ds, text_col="text", phash_col=None, drop_cols=("text",))
+    assert sorted(dropped.schema().names) == ["bytes", "doc_id", "minhash"]
+
+
+def test_query_signatures_equal_minhash_batch():
+    """The query-row signatures of ``topk_similar_docs`` and
+    ``forest_topk_docs`` (one driver-side ``SignatureStage`` call, md5
+    profile) equal the sorted-shingle ``minhash_batch`` values for
+    doc_ids 0..4."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from raydedup.hashing import word_ngram_shingles
+    from raydedup.schema import sig_to_numpy
+    from raydedup.stages.signatures import SignatureStage
+
+    docs = pq.read_table("/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"])
+    rows = docs.filter(pc.is_in(docs.column("doc_id"), value_set=pa.array(range(5)))).sort_by("doc_id")
+    assert rows.column("doc_id").to_pylist() == [0, 1, 2, 3, 4]
+    texts = rows.column("text").to_pylist()
+    stage = SignatureStage(text_col="text", phash_col=None, hashfunc="md5")
+    got = sig_to_numpy(stage(pa.table({"text": pa.array(texts, pa.string())})).column("minhash"))
+    a, b = generate_permutations(128, 1)
+    want = minhash_batch([sorted(word_ngram_shingles(t, 3)) for t in texts], a, b, hashfunc="md5")
+    assert np.array_equal(got, want)
+
+
 def test_allpairs_window_pairs_matches_scalar_reference():
     """The flat AllPairs window kernel (merged searchsorted + PPJoin
     positional bound) must match the per-run scalar reference pair for

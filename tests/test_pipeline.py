@@ -13,8 +13,8 @@ import pyarrow as pa
 import pytest
 
 from raydedup.hashing import word_ngram_shingles
-import raydedup.pipeline as P
 from raydedup.pipeline import SIMHASH_BANDS, DedupConfig, dedup_pipeline
+import raydedup.stages.signatures as S
 from raydedup.stages.components import DSU
 from raydedup.synth import make_images_table
 
@@ -52,7 +52,7 @@ def test_minhash_lsh_matches_reference(ray_session, reference_datasketch, corpus
     table, _ = corpus
     ref_pairs, ref_labels = _reference_clusters(reference_datasketch, table)
 
-    monkeypatch.setattr(P, "SIGNATURE_BATCH_SIZE", 64)  # several batches per block
+    monkeypatch.setattr(S, "SIGNATURE_BATCH_SIZE", 64)  # several batches per block
     cfg = DedupConfig(
         phash_col=None,
         use_substring=False,
@@ -106,7 +106,7 @@ def test_fused_pipeline_covers_planted_structure(ray_session, corpus, monkeypatc
     from raydedup.simhash import hamming_distance64, simhash_from_phash
 
     table, truth = corpus
-    monkeypatch.setattr(P, "SIGNATURE_BATCH_SIZE", 64)  # several batches per block
+    monkeypatch.setattr(S, "SIGNATURE_BATCH_SIZE", 64)  # several batches per block
     cfg = DedupConfig()
     out = dedup_pipeline(rd.from_arrow(table).repartition(4), cfg)
     clusters = out["clusters"].to_pandas()
