@@ -1462,7 +1462,7 @@ def q_cross_source_neardup(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
     parts = auto_partitions(ds)
     sigs = signature_map(
-        ds, text_col="text", phash_col=None, hashfunc="md5", drop_cols=("text",)
+        ds, num_perm=num_perm, text_col="text", phash_col=None, hashfunc="md5", drop_cols=("text",)
     )
 
     def explode(batch: pa.Table) -> pa.Table:
