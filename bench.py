@@ -89,8 +89,9 @@ def ensure_bench_table(n_base: int, with_images: bool = True) -> str:
         table, truth = make_images_table(n_base=n_base, with_images=with_images)
         pq.write_table(truth_pairs_table(table, truth), tpath + ".tmp")
         os.rename(tpath + ".tmp", tpath)
-        # small row groups → the read parallelizes across tasks instead
-        # of one reader decoding a single giant row group
+        # small row groups: Ray 2.49 still reads the file as ONE task
+        # (ReadParquet->SplitBlocks(13) over 9 row groups), but that
+        # task splits its output into several blocks for the maps
         pq.write_table(table, path + ".tmp", row_group_size=4096)
         os.rename(path + ".tmp", path)
     return path

@@ -80,7 +80,8 @@ def main(argv: list[str] | None = None) -> dict:
         "--max-driver-edges",
         type=int,
         default=5_000_000,
-        help="distinct-edge budget for the driver DSU; 0 forces the distributed path",
+        help="distinct-edge budget for the driver DSU; 0 always runs the distributed peel "
+        "shuffle, whose remainder goes to the star rounds only above 4M rows",
     )
     args = p.parse_args(argv)
 

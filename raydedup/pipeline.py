@@ -57,8 +57,10 @@ class DedupConfig:
     hashfunc: str = "sha1"
     num_partitions: int | None = None  # None → auto-sized from the input row count
     checkpoint_dir: str | None = None
-    # driver-DSU edge budget for connected components; 0 forces the
-    # distributed alternating-star path
+    # driver-DSU edge budget for connected components; 0 sends every
+    # edge set through the distributed peel shuffle, and the
+    # alternating-star rounds run only when more than 4M peeled rows
+    # remain (smaller remainders finish in the driver DSU)
     max_driver_edges: int = 5_000_000
 
     @property

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 
-def simhash_from_tokens(token_lists: list, memo: dict | None = None, hashfunc: str = "sha1") -> np.ndarray:
+def simhash_from_tokens(token_lists: list, hashfunc: str = "sha1") -> np.ndarray:
     """Charikar simhash: for each document, sum ±1 per bit over the
     64-bit hashes of its tokens; the sign of each bit-sum is the output
     bit. Returns uint64[N]. ``hashfunc="md5"`` makes the fingerprint
@@ -32,8 +32,7 @@ def simhash_from_tokens(token_lists: list, memo: dict | None = None, hashfunc: s
     from raydedup.hashing import HASH64_FUNCS
 
     hash64 = HASH64_FUNCS[hashfunc]
-    if memo is None:
-        memo = {}
+    memo: dict = {}  # token → hash, across this call's documents
     n = len(token_lists)
     out = np.zeros(n, dtype=np.uint64)
     bit_idx = np.arange(64, dtype=np.uint64)

@@ -1,8 +1,8 @@
 """Similarity search over an embedding column (list<float>).
 
 - ``brute_force_topk``: baseline — broadcast the query matrix once
-  (``ray.put``), numpy matmul per batch, per-batch top-k, global merge
-  ``sort().limit(k)``. Exact; linear scan.
+  (``ray.put``), numpy matmul per batch, then ``top_k_per_key`` per
+  query. Exact; linear scan.
 - ``lsh_bucketed_topk``: scale path — random-hyperplane (SimHash) bucket
   column; queries probe only their bucket (and optional multi-probe
   neighbors). Candidate set shrinks ~2^bits-fold at a small recall cost.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from raydedup.stages.grouped import top_k_per_key
 
 
 def _emb_matrix(batch: pa.Table, col: str) -> np.ndarray:
@@ -44,19 +46,32 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
+def _candidates(batch: pa.Table, id_col: str, row, query, cos, query_col: str = "query_idx") -> pa.Table:
+    """A score map's candidate rows (query, id, cos): ``row`` indexes
+    ``batch``; ``query`` and ``cos`` align with ``row``."""
+    return pa.table(
+        {
+            query_col: pa.array(query, pa.int64()),
+            id_col: batch.column(id_col).take(row),
+            "cos": pa.array(cos, pa.float64()),
+        }
+    )
+
+
 def brute_force_topk(ds, query_vecs: np.ndarray, k: int = 10, id_col: str = "vec_id", emb_col: str = "embedding"):
     """Exact cosine top-k for each query row. Returns a Dataset
     (query_idx, vec_id, cos) of k rows per query.
 
     The query matrix is broadcast via ``ray.put`` once; each batch does
-    one (B, D) @ (D, Q) matmul and keeps its local top-k, so only
-    k·Q·num_blocks candidate rows reach the final global sort."""
+    one (B, D) @ (D, Q) matmul and emits its B·Q candidate rows, and
+    ``top_k_per_key`` keeps k per query per block, so only
+    k·Q·num_blocks rows reach the final merge."""
     import ray
 
     sch = ds.schema()
     if sch is None or ds.count() == 0:
         # empty corpus: map_batches skips empty blocks entirely, so the
-        # pre-UDF schema would reach the groupby and crash unification
+        # result would carry the corpus schema, not (query_idx, id, cos)
         import ray.data as rd
 
         id_t = sch.base_schema.field(id_col).type if sch is not None else pa.int64()
@@ -74,37 +89,12 @@ def brute_force_topk(ds, query_vecs: np.ndarray, k: int = 10, id_col: str = "vec
 
     def score(batch: pa.Table) -> pa.Table:
         qm = ray.get(qref)
-        m = _normalize(_emb_matrix(batch, emb_col))
-        cos = m @ qm.T  # (B, Q)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        kk = min(k, len(ids))
-        out_q, out_id, out_cos = [], [], []
-        for qi in range(qm.shape[0]):
-            top = np.argpartition(-cos[:, qi], kk - 1)[:kk]
-            out_q.extend([qi] * kk)
-            out_id.extend(ids[top].tolist())
-            out_cos.extend(cos[top, qi].tolist())
-        return pa.table(
-            {
-                "query_idx": pa.array(out_q, pa.int64()),
-                id_col: pa.array(out_id),
-                "cos": pa.array(out_cos, pa.float64()),
-            }
-        )
+        cos = _normalize(_emb_matrix(batch, emb_col)) @ qm.T  # (B, Q)
+        row, qi = np.divmod(np.arange(cos.size), qm.shape[0])
+        return _candidates(batch, id_col, row, qi, cos.ravel())
 
     scored = ds.map_batches(score, batch_format="pyarrow", batch_size=4096)
-    # global merge: per query keep top-k. Candidates = k per (query, block).
-    def merge(group: pa.Table) -> pa.Table:
-        cos = group.column("cos").to_numpy(zero_copy_only=False)
-        kk = min(k, len(cos))
-        # deterministic tie-break: cos desc, then id asc
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -cos))[:kk]
-        return group.take(pa.array(order))
-
-    from raydedup.stages.grouped import merge_key_groups
-
-    return merge_key_groups(scored, "query_idx", merge)
+    return top_k_per_key(scored, ["query_idx"], [("cos", "descending"), (id_col, "ascending")], k)
 
 
 def add_hyperplane_bucket(ds, emb_col: str = "embedding", bits: int = 8, seed: int = 7, dim: int | None = None):
@@ -430,41 +420,12 @@ def ivf_topk(ds, query_vecs: np.ndarray, k: int = 10, nprobe: int = 4, n_centroi
     def score(batch: pa.Table) -> pa.Table:
         qm, qc = ray.get(qref)
         cells = batch.column("cell").to_numpy(zero_copy_only=False)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        m = None
-        o_q, o_id, o_cos = [], [], []
-        for qi in range(qm.shape[0]):
-            mask = np.isin(cells, qc[qi])
-            if not mask.any():
-                continue
-            if m is None:
-                m = _normalize(_emb_matrix(batch, emb_col))
-            cos = m[mask] @ qm[qi]
-            cand = ids[mask]
-            kk = min(k, len(cand))
-            top = np.lexsort((cand, -cos))[:kk]
-            o_q.extend([qi] * len(top))
-            o_id.extend(cand[top].tolist())
-            o_cos.extend(cos[top].tolist())
-        return pa.table(
-            {
-                "query_idx": pa.array(o_q, pa.int64()),
-                id_col: pa.array(o_id),
-                "cos": pa.array(o_cos, pa.float64()),
-            }
-        )
+        row, qi = np.nonzero((cells[:, None, None] == qc[None]).any(axis=2))
+        m = _normalize(_emb_matrix(batch, emb_col))
+        return _candidates(batch, id_col, row, qi, np.einsum("ij,ij->i", m[row], qm[qi]))
 
     scored = celled.map_batches(score, batch_format="pyarrow", batch_size=4096)
-
-    def merge(group: pa.Table) -> pa.Table:
-        cos = group.column("cos").to_numpy(zero_copy_only=False)
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -cos))[: min(k, len(cos))]
-        return group.take(pa.array(order))
-
-    from raydedup.stages.grouped import merge_key_groups
-
-    return merge_key_groups(scored, "query_idx", merge)
+    return top_k_per_key(scored, ["query_idx"], [("cos", "descending"), (id_col, "ascending")], k)
 
 
 def embedding_near_dup_pairs(

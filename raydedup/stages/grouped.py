@@ -18,13 +18,17 @@ This is the engine's primitive for all bucket-shaped shuffles; the
 partition count P is the knob that maps to cluster width. It starts no
 actors, and neither do the queries' ``groupby`` aggregates, which run
 on Ray's default sort-based shuffle. ``map_blocks`` runs a small map
-over a pinned table as at most one plain Ray task per CPU.
+over a pinned table as at most one plain Ray task per CPU;
+``top_k_per_key`` keeps the first k rows per key without a keyed
+shuffle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from raydedup.hashing import ragged_arange
 
 
 def effective_partitions(requested: int) -> int:
@@ -224,26 +228,31 @@ def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run
     return parted.map_batches(per_block, batch_size=None, batch_format="pyarrow", **map_kwargs)
 
 
-def merge_key_groups(ds, key: str, group_fn):
-    """Tail merge for per-block partial results (e.g. top-k candidates
-    per (query, block)): the input is tiny BY CONSTRUCTION — k × Q ×
-    num_blocks rows — so a distributed ``groupby().map_groups`` costs
-    more in shuffle rounds (see SMALL_SHUFFLE_ROWS) than the merge
-    itself. Coalesce the block refs
-    into ONE map task, sort by ``key``, and call ``group_fn`` once per
-    key run — Q Python calls on a few hundred rows, never driver-side."""
+def top_k_per_key(ds, keys: list[str], order: list[tuple[str, str]], k: int):
+    """The first ``k`` rows of every distinct ``keys`` tuple under the
+    total order ``order`` (pyarrow sort keys, e.g. ``[("cos",
+    "descending"), ("id", "ascending")]``); with ``keys=[]`` the whole
+    dataset is one group. Output rows come sorted by ``keys`` ascending,
+    then ``order``.
 
-    def per_block(block: pa.Table) -> pa.Table:
+    One kernel, two passes: every block keeps its own first k per key
+    (the combiner), then one task over ``repartition(1)`` keeps the
+    first k of those. The first k of per-block first k's is the global
+    first k, and a full sort, unlike a partial select, never drops a
+    tied row that wins globally. Only keys × k × blocks rows reach the
+    merge, so it needs no keyed shuffle."""
+    spec = [(c, "ascending") for c in keys] + list(order)
+
+    def first_k(block: pa.Table) -> pa.Table:
         if len(block) == 0:
-            return group_fn(block)
-        block = block.sort_by([(key, "ascending")])
-        starts, ends = _run_bounds(block, [key])
-        outs = [group_fn(block.slice(s, e - s)) for s, e in zip(starts, ends)]
-        return pa.concat_tables(outs)
+            return block
+        block = block.sort_by(spec)
+        starts, ends = _run_bounds(block, keys)
+        cnt = np.minimum(ends - starts, k)
+        return block.take(pa.array(np.repeat(starts, cnt) + ragged_arange(cnt)))
 
-    return ds.repartition(1).map_batches(
-        per_block, batch_size=None, batch_format="pyarrow"
-    )
+    combined = ds.map_batches(first_k, batch_size=None, batch_format="pyarrow")
+    return combined.repartition(1).map_batches(first_k, batch_size=None, batch_format="pyarrow")
 
 
 def unique_rows_partitioned(ds, keys: list[str], num_partitions: int):

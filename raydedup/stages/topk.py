@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from raydedup.params import _integrate
+from raydedup.stages.grouped import top_k_per_key
 
 
 # ----------------------------------------------------- forest-style top-k
@@ -40,42 +41,24 @@ def topk_similar(sig_ds, query_sigs: np.ndarray, query_ids, k: int = 10, id_col:
     import ray
 
     from raydedup.schema import sig_to_numpy
+
     q = np.ascontiguousarray(query_sigs, dtype=np.uint64)
-    qref = ray.put((q, list(query_ids)))
+    qref = ray.put((q, pa.array(list(query_ids))))
 
     def score(batch: pa.Table) -> pa.Table:
         qm, qids = ray.get(qref)
         sig = sig_to_numpy(batch.column("minhash"), num_perm)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        out_q, out_id, out_j = [], [], []
-        kk = min(k, len(ids))
-        for qi in range(qm.shape[0]):
-            est = np.mean(sig == qm[qi], axis=1)
-            # deterministic per-batch tie-break (est desc, id asc): an
-            # argpartition could drop a tying id that wins globally
-            top = np.lexsort((ids, -est))[:kk]
-            out_q.extend([qids[qi]] * len(top))
-            out_id.extend(ids[top].tolist())
-            out_j.extend(est[top].tolist())
+        est = np.mean(sig[:, None, :] == qm[None], axis=2)  # (rows, queries)
         return pa.table(
             {
-                "query_id": pa.array(out_q),
-                id_col: pa.array(out_id),
-                "jaccard": pa.array(out_j, pa.float64()),
+                "query_id": qids.take(np.tile(np.arange(len(qids)), len(sig))),
+                id_col: batch.column(id_col).take(np.repeat(np.arange(len(sig)), len(qids))),
+                "jaccard": pa.array(est.ravel(), pa.float64()),
             }
         )
 
     scored = sig_ds.map_batches(score, batch_format="pyarrow", batch_size=8192)
-
-    def merge(group: pa.Table) -> pa.Table:
-        j = group.column("jaccard").to_numpy(zero_copy_only=False)
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -j))[: min(k, len(j))]
-        return group.take(pa.array(order))
-
-    from raydedup.stages.grouped import merge_key_groups
-
-    return merge_key_groups(scored, "query_id", merge)
+    return top_k_per_key(scored, ["query_id"], [("jaccard", "descending"), (id_col, "ascending")], k)
 
 
 # ------------------------------------------------- forest prefix index

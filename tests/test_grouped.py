@@ -233,9 +233,13 @@ def test_substring_pairs_slim_path(ray_session, shuffle_mode):
     assert got == want
 
 
-def test_merge_key_groups_matches_groupby(ray_session):
-    """The coalesced tail merge must equal a per-group map_groups."""
-    from raydedup.stages.grouped import merge_key_groups
+def test_top_k_per_key_matches_groupby(ray_session):
+    """The combiner + coalesced merge must equal a per-group map_groups,
+    with one key and with no key, also when some input blocks are
+    empty."""
+    import ray.data as rd
+
+    from raydedup.stages.grouped import top_k_per_key
 
     rng = np.random.default_rng(5)
     t = pa.table(
@@ -245,17 +249,16 @@ def test_merge_key_groups_matches_groupby(ray_session):
             "id": pa.array(np.arange(300), pa.int64()),
         }
     )
+    order = [("v", "descending"), ("id", "ascending")]
 
     def top3(group: pa.Table) -> pa.Table:
         v = group.column("v").to_numpy(zero_copy_only=False)
         ids = group.column("id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -v))[:3]
-        return group.take(pa.array(order))
+        return group.take(pa.array(np.lexsort((ids, -v))[:3]))
 
-    got = {
-        (r["q"], r["id"])
-        for r in merge_key_groups(_ds_from_table(t, 5), "q", top3).take_all()
-    }
+    def rows(ds):
+        return [(r["q"], r["id"]) for r in ds.take_all()]
+
     want = {
         (r["q"], r["id"])
         for r in _ds_from_table(t, 5)
@@ -263,7 +266,39 @@ def test_merge_key_groups_matches_groupby(ray_session):
         .map_groups(top3, batch_format="pyarrow")
         .take_all()
     }
-    assert got == want and len(got) == 7 * 3
+    got = rows(top_k_per_key(_ds_from_table(t, 5), ["q"], order, 3))
+    assert set(got) == want and len(got) == 7 * 3
+    v = t.column("v").to_numpy()
+    assert got == sorted(got, key=lambda r: (r[0], -v[r[1]], r[1]))  # by key, then order
+
+    whole = rows(top_k_per_key(_ds_from_table(t, 5), [], order, 4))
+    assert [i for _, i in whole] == np.lexsort((np.arange(300), -v))[:4].tolist()
+
+    # zero-row blocks among the input blocks
+    empty = t.slice(0, 0)
+    parts = rd.from_arrow([empty, t.slice(0, 120), empty, t.slice(120), empty])
+    assert set(rows(top_k_per_key(parts, ["q"], order, 3))) == want
+
+
+def test_top_k_ties_keep_smallest_ids(ray_session):
+    """40 rows with one score, stored with ids descending in ONE block:
+    k=5 must return ids 0..4 (score desc, then id asc) — a partial
+    select per block would keep an arbitrary subset of the ties."""
+    import ray.data as rd
+
+    from raydedup.stages.ann import brute_force_topk
+    from raydedup.stages.grouped import top_k_per_key
+
+    ids = np.arange(40)[::-1]
+    t = pa.table({"q": pa.array(np.zeros(40), pa.int64()), "id": pa.array(ids, pa.int64()), "v": pa.array(np.ones(40))})
+    got = top_k_per_key(rd.from_arrow(t), ["q"], [("v", "descending"), ("id", "ascending")], 5).take_all()
+    assert [r["id"] for r in got] == [0, 1, 2, 3, 4]
+
+    emb = np.zeros((40, 4))
+    emb[:, 0] = 1.0  # every vector equals the query: cos is exactly 1
+    t = pa.table({"vec_id": pa.array(ids, pa.int64()), "embedding": pa.array(emb.tolist())})
+    got = brute_force_topk(rd.from_arrow(t), emb[:1], k=5).take_all()
+    assert [r["vec_id"] for r in got] == [0, 1, 2, 3, 4]
 
 
 def test_sum_by_keys_matches_pandas(ray_session, shuffle_mode):
