@@ -220,12 +220,12 @@ def build_band_bloom(sig_ds, b: int, r: int, n_items: int, fp: float = 1e-4, sig
 
 
 class BloomDedupStage:
-    """Actor-pool ``map_batches`` stage flagging rows whose signature
-    collides with a (broadcast) reference filter — the engine's
-    ``dedup_filter`` surface over :class:`BandBloomFilter`. Pass the
-    filter as a ``ray.put`` ObjectRef: deserialized once per actor in
-    ``__init__``, read zero-copy from the object store by every actor
-    on a node."""
+    """``map_batches`` stage flagging rows whose signature collides with
+    a (broadcast) reference filter — the engine's ``dedup_filter``
+    surface over :class:`BandBloomFilter`. Pass the filter as a
+    ``ray.put`` ObjectRef: deserialized once per map task (under
+    ``grouped.task_stage``) or actor in ``__init__``, read zero-copy
+    from the object store by every worker on a node."""
 
     def __init__(self, filter_ref, sig_col: str = "minhash", num_perm: int = 128, out_col: str = "is_dup"):
         import ray

@@ -143,49 +143,39 @@ def _distinct_tokens(block, column: str) -> list[bytes]:
     return [v.encode("utf-8") for v in vals.to_pylist() if v is not None]
 
 
+def _register_aggregate_fn(sketch_cls, column: str, p: int, name: str, hashfunc: str):
+    """A ``ray.data.aggregate.AggregateFn`` over ``sketch_cls``'s int8
+    register file: partial registers per block, elementwise-max merge,
+    estimate at finalize. Works for global and grouped aggregation."""
+    from ray.data.aggregate import AggregateFn
+
+    def accumulate_block(state: np.ndarray, block) -> np.ndarray:
+        sk = sketch_cls(p, reg=state.copy(), hashfunc=hashfunc)
+        sk.update_tokens(_distinct_tokens(block, column))
+        return sk.reg
+
+    return AggregateFn(
+        init=lambda k: np.zeros(1 << p, dtype=np.int8),
+        accumulate_block=accumulate_block,
+        merge=lambda a, b: np.maximum(a, b),
+        finalize=lambda reg: float(sketch_cls(p, reg=reg).count()),
+        name=name,
+    )
+
+
 def hll_aggregate_fn(column: str, p: int = 8, alias_name: str | None = None, hashfunc: str = "sha1"):
     """A ``ray.data.aggregate.AggregateFn`` computing an approximate
     distinct count of ``column`` — partial register files per block,
     elementwise-max merge, estimate at finalize. Works for global and
     grouped aggregation.
     """
-    from ray.data.aggregate import AggregateFn
-
-    name = alias_name or f"hll_ndv({column})"
-
-    def accumulate_block(state: np.ndarray, block) -> np.ndarray:
-        sk = HllSketch(p, reg=state.copy(), hashfunc=hashfunc)
-        sk.update_tokens(_distinct_tokens(block, column))
-        return sk.reg
-
-    return AggregateFn(
-        init=lambda k: np.zeros(1 << p, dtype=np.int8),
-        accumulate_block=accumulate_block,
-        merge=lambda a, b: np.maximum(a, b),
-        finalize=lambda reg: float(HllSketch(p, reg=reg).count()),
-        name=name,
-    )
+    return _register_aggregate_fn(HllSketch, column, p, alias_name or f"hll_ndv({column})", hashfunc)
 
 
 def hllpp_aggregate_fn(column: str, p: int = 12, alias_name: str | None = None, hashfunc: str = "sha1"):
     """Distributed HLL++ distinct count (64-bit variant with the
     published bias correction) — same shape as ``hll_aggregate_fn``."""
-    from ray.data.aggregate import AggregateFn
-
-    name = alias_name or f"hllpp_ndv({column})"
-
-    def accumulate_block(state: np.ndarray, block) -> np.ndarray:
-        sk = HllPlusPlusSketch(p, reg=state.copy(), hashfunc=hashfunc)
-        sk.update_tokens(_distinct_tokens(block, column))
-        return sk.reg
-
-    return AggregateFn(
-        init=lambda k: np.zeros(1 << p, dtype=np.int8),
-        accumulate_block=accumulate_block,
-        merge=lambda a, b: np.maximum(a, b),
-        finalize=lambda reg: float(HllPlusPlusSketch(p, reg=reg).count()),
-        name=name,
-    )
+    return _register_aggregate_fn(HllPlusPlusSketch, column, p, alias_name or f"hllpp_ndv({column})", hashfunc)
 
 
 # HLL++-style 64-bit variant (reference HyperLogLogPlusPlus,

@@ -118,9 +118,9 @@ def _flat_triu(base: np.ndarray, m: np.ndarray):
 def bucket_stats(band_ds):
     """Bucket-size histogram — the skew detector (reference
     ``get_counts``, ``lsh.py:560-589``)."""
-    from ray.data.aggregate import Count
+    from raydedup.stages.grouped import aggregate_per_key
 
-    return band_ds.groupby("bucket").aggregate(Count(alias_name="size"))
+    return aggregate_per_key(band_ds, ["bucket"], {"size": ("bucket", "count")})
 
 
 def _exact_key_hash128(batch: pa.Table, exact_cols: tuple) -> tuple:

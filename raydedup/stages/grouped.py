@@ -16,9 +16,9 @@ tiny groups (LSH buckets, anchor windows). This helper instead:
 
 This is the engine's primitive for all bucket-shaped shuffles; the
 partition count P is the knob that maps to cluster width. It starts no
-actors, and neither do the queries' ``groupby`` aggregates, which run
-on Ray's default sort-based shuffle. ``map_blocks`` runs a small map
-over a pinned table as at most one plain Ray task per CPU;
+actors. ``aggregate_per_key`` is the grouped sum/min/max/count with a
+map-side combiner, on the same keyed grouping; ``map_blocks`` runs a
+small map over a pinned table as at most one plain Ray task per CPU;
 ``top_k_per_key`` keeps the first k rows per key without a keyed
 shuffle.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from raydedup.hashing import ragged_arange
 
@@ -168,9 +169,10 @@ def task_stage(cls, **kwargs):
     ``cls(**kwargs)`` is built once per map TASK and reused across that
     task's batches (the closure, ``holder`` included, is deserialized
     per task), while scheduling stays elastic tasks — right for stages
-    whose state is tiny (seed-derived permutations, compiled regexes,
-    small tables). Heavy-state stages (decode codecs, models) stay real
-    actor pools."""
+    whose state is tiny (seed-derived permutations, codec parameters,
+    compiled regexes) or one broadcast ObjectRef fetched in
+    ``__init__``. Only state too costly to rebuild per task (a model)
+    would want an actor pool."""
     holder: dict = {}
 
     def fn(batch):
@@ -253,6 +255,75 @@ def top_k_per_key(ds, keys: list[str], order: list[tuple[str, str]], k: int):
 
     combined = ds.map_batches(first_k, batch_size=None, batch_format="pyarrow")
     return combined.repartition(1).map_batches(first_k, batch_size=None, batch_format="pyarrow")
+
+
+_MERGE = {"sum": "sum", "min": "min", "max": "max", "count": "sum"}
+
+
+def _null_free(col):
+    """``col`` with nulls replaced by one fixed value of its type ("" or
+    0)."""
+    if col.null_count == 0:
+        return col
+    t = col.type
+    text = pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) or pa.types.is_large_binary(t)
+    return pc.fill_null(col, pa.scalar("" if text else 0).cast(t))
+
+
+def aggregate_per_key(ds, keys: list[str], aggs: dict[str, tuple[str, str]]):
+    """One row per distinct ``keys`` tuple with its grouped aggregates:
+    ``aggs`` maps each output column to ``(input column, fn)``, fn one
+    of ``sum``, ``min``, ``max`` or ``count``. ``count`` counts non-null
+    values, like SQL ``count(col)``; ``aggs={}`` gives the distinct
+    keys. A null key is its own group, as in SQL ``GROUP BY``. Output
+    row order is unspecified.
+
+    One kernel, two passes: every block collapses to one row per key
+    (the combiner, pyarrow's ``group_by``), the partials are pinned, and
+    the same kernel merges them per key partition (counts merge as
+    sums). Pinning makes the partial row count metadata-cheap, so
+    ``keyed_partitions`` sizes the merge from the partials, not the
+    input.
+
+    The kernel never groups on a column holding nulls: a key with nulls
+    is grouped as a null-free copy plus a validity flag, because pyarrow
+    16's multi-key ``group_by`` splits groups when a key holds nulls (a
+    string key before an int64 key with nulls gave 46 groups for 43
+    distinct keys). The merge sorts on the null-free copies too, since
+    Ray's sort boundary search compares None with ``<`` and raises on
+    string keys; a null and its fill value then share one block, and
+    the validity flag keeps them apart."""
+    merge = {out: (out, _MERGE[fn]) for out, (_, fn) in aggs.items()}  # KeyError: not sum/min/max/count
+    sort_keys = [f"__key{i}" for i in range(len(keys))]
+
+    def kernel(specs: dict[str, tuple[str, str]], with_sort_keys: bool):
+        pairs = list(dict.fromkeys(specs.values()))  # each (col, fn) once
+
+        def fn(block: pa.Table) -> pa.Table:
+            by = {}
+            for i, k in enumerate(keys):
+                col = block.column(k)
+                by[sort_keys[i]] = _null_free(col)
+                if col.null_count:
+                    by[f"__valid{i}"] = pc.is_valid(col)
+            t = pa.table({**by, **{c: block.column(c) for c, _ in pairs}})
+            g = t.group_by(list(by), use_threads=False).aggregate(pairs)
+            cols = {}
+            for i, (k, s) in enumerate(zip(keys, sort_keys)):
+                kc = g.column(s)
+                if f"__valid{i}" in by:
+                    kc = pc.if_else(g.column(f"__valid{i}"), kc, pa.nulls(len(g), kc.type))
+                cols[k] = kc
+            cols.update({out: g.column(f"{c}_{f}") for out, (c, f) in specs.items()})
+            if with_sort_keys:
+                cols.update({s: g.column(s) for s in sort_keys})
+            return pa.table(cols)
+
+        return fn
+
+    pre = staged(ds.map_batches(kernel(aggs, True), batch_size=None, batch_format="pyarrow"))
+    parted = keyed_partitions(pre, sort_keys, auto_partitions(pre))
+    return parted.map_batches(kernel(merge, False), batch_size=None, batch_format="pyarrow")
 
 
 def unique_rows_partitioned(ds, keys: list[str], num_partitions: int):

@@ -1,9 +1,12 @@
-"""Multimodal (image) actor-pool stages: decode, feature-extract, resize.
+"""Multimodal map stages: image decode, feature-extract, resize; audio
+features; video frame sampling.
 
 Images are opaque ``binary`` payloads with typed metadata (w, h, fmt).
-Each stage is a callable class for ``map_batches(Cls, concurrency=N,
-batch_size=B)`` — small batches because payloads are wide (the brief's
-memory-aware rule). The raw/png/jpeg/gif/webp/bmp/tiff/ico/pnm codecs
+Each stage is a callable class holding only scalar parameters; the
+queries run it as plain tasks, ``map_batches(grouped.task_stage(Cls,
+**kwargs), batch_size=B)`` (it also works as an actor-pool class) —
+small batches because payloads are wide (the brief's memory-aware
+rule). The raw/png/jpeg/gif/webp/bmp/tiff/ico/pnm codecs
 are real from-scratch implementations (raydedup.media dispatches; jpeg
 covers the lossy PSNR-invariant path, baseline AND progressive, with
 EXIF Orientation honored); only DSP-table-bound codecs (lossy VP8,

@@ -348,7 +348,7 @@ def ensemble_containment_candidates(
     - a query probes each partition with the FIRST b bands of the
       matching r-layout, b chosen per (partition upper, query size).
 
-    The size histogram is a small groupby (|distinct sizes| rows,
+    The size histogram is one ``aggregate_per_key`` (|distinct sizes| rows,
     clamped to ``max_hist_bins`` by quantile bucketing); only slim
     (bucket, id, role) rows transit the candidate shuffle. Returns
     (id_a=query, id_b=container) candidates.
@@ -363,11 +363,9 @@ def ensemble_containment_candidates(
     exhaustively optimal (property-tested), which is why defaults may
     legitimately differ from the reference at identical inputs
     (tests/test_sketches.py pins both behaviors)."""
-    from ray.data.aggregate import Count
-
     from raydedup.schema import sig_to_numpy
     from raydedup.stages.bands import fold_band_buckets
-    from raydedup.stages.grouped import auto_partitions, map_key_runs, unique_rows_partitioned
+    from raydedup.stages.grouped import aggregate_per_key, auto_partitions, map_key_runs, unique_rows_partitioned
 
     if num_partitions is None:
         num_partitions = auto_partitions(sig_ds)
@@ -375,12 +373,8 @@ def ensemble_containment_candidates(
     if partitions is not None:
         parts = [(int(lo), int(up)) for lo, up in partitions]
     else:
-        hist = (
-            sig_ds.select_columns([size_col])
-            .groupby(size_col)
-            .aggregate(Count(alias_name="n"))
-            .take_all()
-        )
+        sizes_ds = sig_ds.select_columns([size_col])
+        hist = aggregate_per_key(sizes_ds, [size_col], {"n": (size_col, "count")}).take_all()
         hist = sorted((int(r[size_col]), int(r["n"])) for r in hist if r[size_col] > 0)
         if not hist:
             raise ValueError("no positive set sizes to index")

@@ -301,21 +301,47 @@ def test_top_k_ties_keep_smallest_ids(ray_session):
     assert [r["vec_id"] for r in got] == [0, 1, 2, 3, 4]
 
 
-def test_sum_by_keys_matches_pandas(ray_session, shuffle_mode):
-    from raydedup.queries import _sum_by_keys
+def test_aggregate_per_key_matches_pandas(ray_session, shuffle_mode):
+    """sum/min/max/count with null values, a null key in each key column
+    and a zero-row input block, against pandas (``dropna=False``, SQL
+    semantics: an all-null sum is null, count skips nulls); ``aggs={}``
+    gives the distinct keys. A string key with nulls before an int key
+    with nulls splits groups in pyarrow 16's multi-key ``group_by``, and
+    raises in Ray's sort boundary search on the distributed side."""
+    import pandas as pd
+    import ray.data as rd
+
+    from raydedup.stages.grouped import aggregate_per_key
 
     rng = np.random.default_rng(9)
+    n = 500
+    a = rng.integers(0, 11, size=n)
     t = pa.table(
         {
-            "a": pa.array(rng.integers(0, 11, size=500), pa.int64()),
-            "b": pa.array(rng.integers(0, 3, size=500), pa.int64()),
-            "n_part": pa.array(rng.integers(1, 100, size=500), pa.int64()),
+            "a": pa.array(a, pa.int64(), mask=rng.random(n) < 0.1),
+            "b": pa.array(rng.choice(["x", "y"], size=n), pa.string(), mask=rng.random(n) < 0.5),
+            # a == 10 holds no value at all: its sum, min and max are null
+            "v": pa.array(rng.integers(1, 100, size=n), pa.int64(), mask=(rng.random(n) < 0.2) | (a == 10)),
         }
     )
-    out = _sum_by_keys(_ds_from_table(t, 4), ["a", "b"], "n_part", "n").take_all()
-    got = {(r["a"], r["b"]): r["n"] for r in out}
-    want = t.to_pandas().groupby(["a", "b"])["n_part"].sum().to_dict()
+    ds = rd.from_arrow([t.slice(0, 200), t.slice(200, 0), t.slice(200, 150), t.slice(350)])
+    aggs = {"s": ("v", "sum"), "lo": ("v", "min"), "hi": ("v", "max"), "c": ("v", "count")}
+
+    def na(x):
+        return None if pd.isna(x) else x
+
+    out = aggregate_per_key(ds, ["b", "a"], aggs).take_all()
+    got = {(na(r["a"]), na(r["b"])): tuple(na(r[c]) for c in aggs) for r in out}
+    g = t.to_pandas().groupby(["a", "b"], dropna=False)["v"]
+    ref = pd.DataFrame({"s": g.sum(min_count=1), "lo": g.min(), "hi": g.max(), "c": g.count()})
+    want = {(na(ka), na(kb)): tuple(na(x) for x in row) for (ka, kb), row in zip(ref.index, ref.itertuples(index=False))}
     assert got == want
+    assert any(ka is None for ka, _ in want) and any(kb is None for _, kb in want)
+    assert any(s is None for s, _, _, _ in want.values())
+
+    distinct = aggregate_per_key(ds, ["b", "a"], {}).take_all()
+    assert len(distinct) == len(want)
+    assert {(na(r["a"]), na(r["b"])) for r in distinct} == set(want)
 
 
 def test_map_key_runs_approx_rows_hint(ray_session):
