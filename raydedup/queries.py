@@ -1262,11 +1262,7 @@ def q_cross_source_neardup(sf_dir: str):
     import polars as pl
 
     from raydedup.schema import sig_to_numpy
-    from raydedup.stages.bands import (
-        _flat_triu,
-        _unique_codes_per_run,
-        fold_band_buckets,
-    )
+    from raydedup.stages.bands import _flat_triu, fold_band_buckets
     from raydedup.stages.grouped import (
         auto_partitions,
         map_key_runs,
@@ -1303,34 +1299,35 @@ def q_cross_source_neardup(sf_dir: str):
     band_ds = staged(sigs.map_batches(explode, batch_format="pyarrow"))
 
     def emit(block: pa.Table, starts, ends) -> pa.Table:
-        typ = block.column("doc_id").type
-        empty = pa.table({"id_a": pa.array([], typ), "id_b": pa.array([], typ)})
-        res = _unique_codes_per_run(block.column("doc_id"), starts, ends)
-        if res is None:
-            return empty
-        vdict, ku, m, upre, krow = res
+        ids = block.column("doc_id").combine_chunks()
+        empty = pa.table({"id_a": ids.slice(0, 0), "id_b": ids.slice(0, 0)})
+        # ids arrive ascending in each run: drop a doc's repeats inside a
+        # run (run starts always stay), then every run is its distinct
+        # ids in order, so the triangle's pairs come out id_a < id_b
+        n = len(ids)
+        keep = np.ones(n, dtype=bool)
+        if n > 1:
+            keep[1:] = pc.not_equal(ids.slice(1), ids.slice(0, n - 1)).to_numpy(zero_copy_only=False)
+        keep[starts] = True
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        m = kept[ends] - kept[starts]
         # pair-set semantics: full cliques (no star collapse — the
         # deliverable is the exact cross-source pair set)
         ok = m >= 2
         if not ok.any():
             return empty
-        ai, bj = _flat_triu(upre[ok], m[ok])
-        if not len(ai):
-            return empty
+        krow = np.flatnonzero(keep)
+        ai, bj = _flat_triu(kept[starts][ok], m[ok])
+        ra, rb = krow[ai], krow[bj]
         sr = block.column("srch").to_numpy(zero_copy_only=False)
-        keep = sr[krow[ai]] != sr[krow[bj]]
-        if not keep.any():
+        cross = sr[ra] != sr[rb]
+        if not cross.any():
             return empty
-        return pa.table(
-            {
-                "id_a": vdict.take(pa.array(ku[ai[keep]])),
-                "id_b": vdict.take(pa.array(ku[bj[keep]])),
-            }
-        )
+        return pa.table({"id_a": ids.take(pa.array(ra[cross])), "id_b": ids.take(pa.array(rb[cross]))})
 
     # staged(): two keyed shuffles in one lazy plan run slower than
     # sequential stage executions (see grouped.staged).
-    pairs = staged(map_key_runs(band_ds, "bucket", emit, parts))
+    pairs = staged(map_key_runs(band_ds, "bucket", emit, parts, sort_extra=["doc_id"]))
     return unique_rows_partitioned(pairs, ["id_a", "id_b"], parts)
 
 
@@ -2379,12 +2376,9 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16
         ids_all = block.column("vec_id").to_numpy()
         m_all = _normalize(_emb_matrix(block, "embedding"))
         dup = np.zeros(len(block), dtype=bool)
-        for s, e in zip(starts, ends):
-            order = np.argsort(ids_all[s:e], kind="stable") + s
-            m = m_all[order]
-            sim = m @ m.T
-            hit = np.triu(sim > threshold, k=1).any(axis=0)
-            dup[order] = hit
+        for s, e in zip(starts, ends):  # vec_ids ascend in each run
+            sim = m_all[s:e] @ m_all[s:e].T
+            dup[s:e] = np.triu(sim > threshold, k=1).any(axis=0)
         return pa.table(
             {
                 "vec_id": pa.array(ids_all, pa.int64()),
@@ -2403,6 +2397,7 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16
         runs,
         auto_partitions(n_rows_in or cds, rows_per_partition=65536),
         min_run=2,
+        sort_extra=["vec_id"],
         approx_rows=n_rows_in,
     )
 

@@ -437,32 +437,38 @@ def embedding_near_dup_pairs(
     seed: int = 7,
     group_cap: int = 4096,
 ):
-    """Cosine near-dup pairs: hyperplane-bucket groupby, exact pairwise
-    cosine within each bucket. Pairs crossing buckets are missed with
-    probability (1 - θ/π)^bits per plane-split — raise ``bits`` for
-    speed, lower for recall. Returns (id_a, id_b, cos)."""
+    """Cosine near-dup pairs: hyperplane buckets as ``map_key_runs``
+    runs, exact pairwise cosine within each bucket of 2..``group_cap``
+    rows. Pairs crossing buckets are missed with probability
+    (1 - θ/π)^bits per plane-split — raise ``bits`` for speed, lower
+    for recall. Returns (id_a, id_b, cos)."""
+    from raydedup.stages.grouped import auto_partitions, map_key_runs
+
     bucketed = add_hyperplane_bucket(ds.select_columns([id_col, emb_col]), emb_col, bits, seed)
 
-    def within(group: pa.Table) -> pa.Table:
-        m = _normalize(_emb_matrix(group, emb_col))
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        if len(ids) < 2 or len(ids) > group_cap:
+    def within(block: pa.Table, starts, ends) -> pa.Table:
+        runs = [(s, e) for s, e in zip(starts, ends) if e - s <= group_cap]
+        if not runs:
             return pa.table(
                 {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()), "cos": pa.array([], pa.float64())}
             )
-        cos = m @ m.T
-        iu = np.triu_indices(len(ids), k=1)
-        keep = cos[iu] >= threshold
-        a, b = iu[0][keep], iu[1][keep]
-        ia, ib = ids[a], ids[b]
-        lo = np.minimum(ia, ib)
-        hi = np.maximum(ia, ib)
-        return pa.table(
-            {
-                "id_a": pa.array(lo),
-                "id_b": pa.array(hi),
-                "cos": pa.array(cos[iu][keep], pa.float64()),
-            }
-        )
+        out = []
+        m = _normalize(_emb_matrix(block, emb_col))
+        ids = block.column(id_col).to_numpy(zero_copy_only=False)
+        for s, e in runs:
+            cos = m[s:e] @ m[s:e].T
+            a, b = np.triu_indices(e - s, k=1)
+            keep = cos[a, b] >= threshold
+            ia, ib = ids[s:e][a[keep]], ids[s:e][b[keep]]
+            out.append(
+                pa.table(
+                    {
+                        "id_a": pa.array(np.minimum(ia, ib)),
+                        "id_b": pa.array(np.maximum(ia, ib)),
+                        "cos": pa.array(cos[a, b][keep], pa.float64()),
+                    }
+                )
+            )
+        return pa.concat_tables(out)
 
-    return bucketed.groupby("bucket").map_groups(within, batch_format="pyarrow")
+    return map_key_runs(bucketed, "bucket", within, auto_partitions(ds))

@@ -55,52 +55,6 @@ def fold_band_buckets(sig: np.ndarray, b: int, r: int) -> np.ndarray:
     return h
 
 
-def _unique_codes_per_run(id_arr, starts, ends):
-    """Shared per-run distinct machinery, vectorized across ALL runs of
-    a block: ONE Arrow dictionary encode of the id column (C++ hash —
-    no Python string compares), codes re-ranked to VALUE order (so
-    code comparisons == id comparisons: triu output is id_a < id_b and
-    a run's first unique is its min id, exactly like np.unique), then
-    one lexsort + adjacent-diff to drop duplicate ids inside each run.
-
-    Returns (vdict, ku, m, upre, krow): value-sorted dictionary, flat
-    value-ranked unique codes grouped by run, uniques per run, each
-    run's offset into ``ku``, and the BLOCK row index each kept unique
-    was taken from (for carrying sibling columns, e.g. simhash words) —
-    or None when there are no runs.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    if len(starts) == 0:
-        return None
-    if isinstance(id_arr, pa.ChunkedArray):
-        id_arr = id_arr.combine_chunks()
-    enc = id_arr.dictionary_encode()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    order_d = pc.sort_indices(enc.dictionary).to_numpy(zero_copy_only=False).astype(np.int64)
-    rank = np.empty(len(order_d), np.int64)
-    rank[order_d] = np.arange(len(order_d), dtype=np.int64)
-    vdict = enc.dictionary.take(pa.array(order_d))
-    # flat (run, value-rank) rows — runs may be disjoint block slices
-    rsz = ends - starts
-    tot = int(rsz.sum())
-    rpre = np.cumsum(rsz) - rsz
-    flat = np.arange(tot, dtype=np.int64) - np.repeat(rpre, rsz) + np.repeat(starts, rsz)
-    run_of = np.repeat(np.arange(len(starts), dtype=np.int64), rsz)
-    vc = rank[codes[flat]]
-    o = np.lexsort((vc, run_of))
-    vcs, rs = vc[o], run_of[o]
-    newm = np.empty(len(o), dtype=bool)
-    newm[0] = True
-    newm[1:] = (rs[1:] != rs[:-1]) | (vcs[1:] != vcs[:-1])
-    ku = vcs[newm]
-    kr = rs[newm]
-    krow = flat[o][newm]
-    m = np.bincount(kr, minlength=len(starts))
-    upre = np.cumsum(m) - m
-    return vdict, ku, m, upre, krow
-
-
 def _flat_triu(base: np.ndarray, m: np.ndarray):
     """All (i < j) index pairs for every run at once: run r contributes
     indices base[r] .. base[r]+m[r]-1. Pure repeat/cumsum arithmetic —
@@ -124,7 +78,9 @@ def bucket_stats(band_ds):
 
 
 def _exact_key_hash128(batch: pa.Table, exact_cols: tuple) -> tuple:
-    """128-bit content-group key over ``exact_cols``, fully vectorized:
+    """128-bit content-group key over ``exact_cols``, fully vectorized —
+    the engine's one content key (the pipeline's exact mode and
+    ``dedup.exact_dedup`` both group on it):
     render each column as ``\\x01``-prefixed string (NULL → ``\\x00``
     sentinel, so NULL never collides with '' — SQL GROUP BY keeps them
     separate groups), join with ``\\x1f``, and hash the joined key with

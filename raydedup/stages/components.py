@@ -3,16 +3,19 @@
 The reference stops at candidate sets (``MinHashLSH.query``); clustering
 is user-land (SURVEY.md §2.5). Here:
 
-- **driver union-find** (vectorized hook-and-compress) when the edge
-  list is small enough to collect — candidate edges are tiny relative
+- **driver union-find** (``_min_code_labels``, a vectorized
+  hook-and-compress over dictionary codes) when the edge list is small
+  enough to collect — candidate edges are tiny relative
   to the corpus (each near-dup cluster contributes O(cluster²) edges),
   so this covers test and most production scales;
 - **distributed** otherwise, in three steps: one degree-1 peel pass
   that dedupes the edges and sets the leaf edges aside (on dedup graphs
   nearly all of them), alternating large-star / small-star rounds over
   the residue (Kiveris et al., *Connected Components in MapReduce and
-  Beyond*, SoCC'14 — see PAPERS.md) with block-local vectorized
-  min-label contraction and a changed-counter actor. As soon as
+  Beyond*, SoCC'14 — see PAPERS.md) that contract every block-local
+  component with the driver's same kernel, and a changed-counter
+  actor. Each of the peel, star and relabel passes is one
+  ``grouped.map_key_runs``. As soon as
   residue plus leaves fit ``driver_finish_rows`` (checked on the peel
   output and after every round) the driver union-find finishes;
   otherwise, at the star fixpoint, one relabel shuffle gives each leaf
@@ -23,7 +26,9 @@ Cluster id = min member id (deterministic, order-insensitive).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 class DSU:
@@ -55,22 +60,54 @@ class DSU:
         return {x: self.find(x) for x in list(self.parent)}
 
 
+def _min_code_labels(u, v, n: int):
+    """Vectorized hook-and-compress union-find over int-coded edges
+    ``(u[i], v[i])`` on nodes ``0..n-1`` (Shiloach–Vishkin shape): each
+    round fully path-compresses the parent forest (pointer jumping),
+    then hooks every edge's larger root onto the smaller via one
+    scatter-min, dropping edges whose endpoints already share a root.
+    Hooking onto the *minimum* adjacent root merges every edge-bearing
+    component with at least one other per round → O(log n) rounds on
+    ANY graph shape (a plain neighbor-min propagation is O(diameter):
+    ~28k rounds on a 100k-node chain vs 17 here). Tolerates duplicate
+    edges. Returns ``lab`` with ``lab[x]`` the smallest CODE in x's
+    component."""
+    lab = np.arange(n, dtype=np.int64)
+    while True:
+        while True:  # full path compression (lab is monotone: lab[x] <= x)
+            ll = lab[lab]
+            if np.array_equal(ll, lab):
+                break
+            lab = ll
+        ru, rv = lab[u], lab[v]
+        act = ru != rv
+        if not act.any():
+            return lab
+        # merged endpoints stay merged — shrink the active edge set
+        u, v = u[act], v[act]
+        ru, rv = ru[act], rv[act]
+        # hook larger root onto the smallest adjacent root (scatter-min)
+        np.minimum.at(lab, np.maximum(ru, rv), np.minimum(ru, rv))
+
+
+def _component_min_ids(lab, ids: pa.Array) -> pa.Array:
+    """The min id of every node's component, per node code: ``lab``
+    holds min CODES (first-occurrence order, arbitrary), and the
+    contract is min ID, so one Arrow group-min over (label, id) fixes
+    the representative per component."""
+    g = pa.table({"g": pa.array(lab), "id": ids}).group_by("g").aggregate([("id", "min")])
+    pos = np.empty(len(ids), np.int64)
+    pos[g.column("g").to_numpy()] = np.arange(len(g))
+    return g.column("id_min").combine_chunks().take(pa.array(pos[lab]))
+
+
 def components_driver(pairs_ds) -> pa.Table:
-    """Collect the (bounded — ``max_driver_edges``) edge list and solve
-    CC with a VECTORIZED hook-and-compress union-find (Shiloach–Vishkin
-    shape): each round fully path-compresses the parent forest
-    (pointer jumping), then hooks every edge's larger root onto the
-    smaller via one scatter-min, dropping edges whose endpoints already
-    share a root. Hooking onto the *minimum* adjacent root merges every
-    edge-bearing component with at least one other per round → O(log n)
-    rounds on ANY graph shape (a plain neighbor-min propagation is
-    O(diameter): ~28k rounds on a 100k-node chain vs 17 here).
+    """Collect the (bounded — ``max_driver_edges``) edge list, intern
+    the ids as dictionary codes and solve CC with ``_min_code_labels``.
     Tolerates duplicate edges (band multiplicity). Returns
     (image_id, cluster_id) for every node that appears in an edge,
     cluster id = min member id — identical labels to the per-edge
     Python DSU this replaces."""
-    import numpy as np
-
     batches = [
         b.select(["id_a", "id_b"])
         for b in pairs_ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow")
@@ -89,38 +126,11 @@ def components_driver(pairs_ds) -> pa.Table:
     ids_dict = enc.dictionary  # V unique ids, first-occurrence order
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     e = len(t)
-    u, v = codes[:e], codes[e:]
-    lab = np.arange(len(ids_dict), dtype=np.int64)
-    while True:
-        while True:  # full path compression (lab is monotone: lab[x] <= x)
-            ll = lab[lab]
-            if np.array_equal(ll, lab):
-                break
-            lab = ll
-        ru, rv = lab[u], lab[v]
-        act = ru != rv
-        if not act.any():
-            break
-        # merged endpoints stay merged — shrink the active edge set
-        u, v = u[act], v[act]
-        ru, rv = ru[act], rv[act]
-        # hook larger root onto the smallest adjacent root (scatter-min)
-        np.minimum.at(lab, np.maximum(ru, rv), np.minimum(ru, rv))
-    # propagation labels are min-CODE (first-occurrence order, arbitrary);
-    # the contract is min-ID — one Arrow group-min over (root, id) fixes
-    # the representative per component
-    node_tbl = pa.table({"r": pa.array(lab), "image_id": ids_dict})
-    gmin = node_tbl.group_by("r").aggregate([("image_id", "min")])
-    r_arr = gmin.column("r").to_numpy(zero_copy_only=False)
-    sort_idx = np.argsort(r_arr)
-    pos = sort_idx[np.searchsorted(r_arr[sort_idx], lab)]
-    cluster = gmin.column("image_id_min").combine_chunks().take(pa.array(pos))
+    cluster = _component_min_ids(_min_code_labels(codes[:e], codes[e:], len(ids_dict)), ids_dict)
     out = pa.table({"image_id": ids_dict, "cluster_id": cluster})
     # deterministic row order (the previous DSU emitted sorted ids) —
     # Arrow C++ sort, not a Python-object sort
-    import pyarrow.compute as _pc
-
-    return out.take(_pc.sort_indices(out, sort_keys=[("image_id", "ascending")]))
+    return out.take(pc.sort_indices(out, sort_keys=[("image_id", "ascending")]))
 
 
 def _flat(col, typ=None):
@@ -148,46 +158,6 @@ class _Counter:
 
     def get(self, key: str) -> int:
         return int(self.vals.get(key, 0))
-
-
-def _local_min_labels(iu, iv, n_local):
-    """Vectorized min-label propagation over int-coded block-local
-    edges: relax every node from its neighbors (both directions are
-    synthesized here) via one ``np.minimum.reduceat`` per sweep, with
-    pointer jumping between sweeps. Returns ``lab[n_local]`` where
-    ``lab[x]`` is the smallest dictionary CODE in x's block-local
-    component (codes are first-appearance order, so the caller resolves
-    the min *id* per component separately)."""
-    import numpy as np
-
-    su = np.concatenate([iu, iv])
-    sv = np.concatenate([iv, iu])
-    o = np.argsort(su, kind="stable")
-    su, sv = su[o], sv[o]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(su)) + 1))
-    ukeys = su[starts]
-    lab = np.arange(n_local, dtype=np.int64)
-    for _ in range(200):
-        m = np.minimum.reduceat(lab[sv], starts)
-        new = np.minimum(lab[ukeys], m)
-        if not (new < lab[ukeys]).any():
-            break
-        lab[ukeys] = new
-        for _ in range(3):  # pointer jumping: lab ← lab[lab]
-            l2 = lab[lab]
-            if np.array_equal(l2, lab):
-                break
-            lab = l2
-    return lab
-
-
-def _run_starts(k: pa.Array):
-    """Start offsets of the runs of equal values in a sorted array."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    change = pc.not_equal(k.slice(1), k.slice(0, len(k) - 1))
-    return np.concatenate(([0], np.flatnonzero(change.to_numpy(zero_copy_only=False)) + 1))
 
 
 _MAX_STAR_ROUNDS = 60
@@ -222,8 +192,8 @@ def components_distributed(
          endpoint, emit ``(u, m)`` and ``(x, m)`` for ``x ∈ N(u) \\ {m}``.
 
        Both kernels use ``m`` = the min id of u's whole BLOCK-LOCAL
-       component (vectorized in-block min-label propagation over
-       dictionary codes) — strictly stronger contraction than the
+       component (``_min_code_labels``, the driver's kernel, over the
+       block's dictionary codes) — strictly stronger contraction than the
        paper's 1-hop ``min(N(u) ∪ {u})`` at identical shuffle cost; when
        u has no smaller neighbor and ``m < u``, large-star additionally
        emits ``(u, m)`` so u stays attached. Both passes preserve
@@ -250,14 +220,12 @@ def components_distributed(
     only nodes that appear in at least one edge are labeled. All
     kernels are Arrow compute — string and numeric ids alike.
     """
-    import numpy as np
-    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
     from raydedup.stages.grouped import (
         effective_partitions,
-        keyed_partitions,
+        map_key_runs,
         staged,
         unique_rows_partitioned,
     )
@@ -278,6 +246,9 @@ def components_distributed(
     def _empty(cols=("c", "p")) -> pa.Table:
         return pa.table({c: pa.array([], id_type) for c in cols})
 
+    def _run_of(starts, ends):
+        return np.repeat(np.arange(len(starts)), ends - starts)
+
     def _expand_large(t: pa.Table) -> pa.Table:
         c, p = _flat(t.column("c"), id_type), _flat(t.column("p"), id_type)
         return pa.table({"u": pa.concat_arrays([c, p]), "v": pa.concat_arrays([p, c])})
@@ -286,45 +257,32 @@ def components_distributed(
         return pa.table({"u": t.column("c"), "v": t.column("p")})
 
     def _star_block(large: bool, pass_key: str):
-        def per_block(block: pa.Table) -> pa.Table:
+        def per_runs(block: pa.Table, starts, ends) -> pa.Table:
             n = len(block)
             if n == 0:
                 return _empty()
-            block = block.sort_by([("u", "ascending"), ("v", "ascending")])
             u, v = _flat(block.column("u"), id_type), _flat(block.column("v"), id_type)
-            if n > 1:
-                # drop duplicate (u, v) rows; partitioning is by u, so
-                # consecutive-dedupe here is globally exact
-                dup = pc.and_(
-                    pc.equal(u.slice(1), u.slice(0, n - 1)),
-                    pc.equal(v.slice(1), v.slice(0, n - 1)),
-                ).to_numpy(zero_copy_only=False)
-                if dup.any():
-                    keep = np.ones(n, dtype=bool)
-                    keep[1:] = ~dup
-                    sel = pa.array(np.nonzero(keep)[0])
-                    u, v = u.take(sel), v.take(sel)
-                    n = len(u)
-            starts = _run_starts(u)
-            # block-local component labels over dictionary codes
+            # drop duplicate (u, v) rows; partitioning is by u, so
+            # consecutive-dedupe here is globally exact. A run start
+            # differs in u from the row before it, so it is always kept.
+            keep = np.ones(n, dtype=bool)
+            keep[1:] = ~pc.and_(
+                pc.equal(u.slice(1), u.slice(0, n - 1)), pc.equal(v.slice(1), v.slice(0, n - 1))
+            ).to_numpy(zero_copy_only=False)
+            if not keep.all():
+                starts = (np.cumsum(keep) - 1)[starts]
+                sel = pa.array(np.flatnonzero(keep))
+                u, v = u.take(sel), v.take(sel)
+                n = len(u)
+            # block-local component min ids over dictionary codes
             enc = pc.dictionary_encode(pa.concat_arrays([u, v]))
             codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            ids_dict = enc.dictionary
-            iu, iv = codes[:n], codes[n:]
-            lab = _local_min_labels(iu, iv, len(ids_dict))
-            # per-component min ID (codes are first-appearance order,
-            # not value order — resolve with one C++ hash aggregation)
-            g = pa.table({"g": pa.array(lab), "id": ids_dict}).group_by("g").aggregate(
-                [("id", "min")]
-            )
-            g_lab = g.column("g").to_numpy(zero_copy_only=False)
-            g_min = _flat(g.column("id_min"), id_type)
-            pos = np.empty(len(ids_dict), np.int64)
-            pos[g_lab] = np.arange(len(g_lab))
-            m_row = g_min.take(pa.array(pos[lab[iu]]))
-            u_first = u.take(pa.array(starts))
-            v_first = v.take(pa.array(starts))
-            m_run = g_min.take(pa.array(pos[lab[iu[starts]]]))
+            iu = codes[:n]
+            lab = _min_code_labels(iu, codes[n:], len(enc.dictionary))
+            node_min = _component_min_ids(lab, enc.dictionary)
+            m_row = node_min.take(pa.array(iu))
+            first = pa.array(starts)
+            u_first, v_first, m_run = u.take(first), v.take(first), m_row.take(first)
             if large:
                 mask = pc.greater(v, u)
                 child, parent = v.filter(mask), m_row.filter(mask)
@@ -352,15 +310,17 @@ def components_distributed(
                 ray.get(counter.add.remote(pass_key, chg))
             return pa.table({"c": child, "p": parent})
 
-        return per_block
+        return per_runs
 
     def _star_plan(eds, rows, large, pass_key):
         expand = _expand_large if large else _expand_small
-        parted = keyed_partitions(
-            eds.map_batches(expand, batch_format="pyarrow"), ["u"], _P(rows * (2 if large else 1))
-        )
-        return parted.map_batches(
-            _star_block(large, pass_key), batch_size=None, batch_format="pyarrow"
+        return map_key_runs(
+            eds.map_batches(expand, batch_format="pyarrow"),
+            "u",
+            _star_block(large, pass_key),
+            _P(rows * (2 if large else 1)),
+            min_run=1,
+            sort_extra=["v"],
         )
 
     # --- 1: one degree-1 peel pass, which is also the global dedupe ---
@@ -382,18 +342,14 @@ def components_distributed(
             }
         )
 
-    def _peel_block(block: pa.Table) -> pa.Table:
+    def _peel_runs(block: pa.Table, starts, ends) -> pa.Table:
         n = len(block)
         if n == 0:
             return _empty().append_column("peel", pa.array([], pa.int8()))
-        block = block.sort_by(
-            [("k", "ascending"), ("s", "ascending"), ("p", "ascending")]
-        )
         k = _flat(block.column("k"), id_type)
         p = _flat(block.column("p"), id_type)
         s = block.column("s").to_numpy(zero_copy_only=False)
-        starts = _run_starts(k)
-        run_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+        run_of = _run_of(starts, ends)
         child_np = s == 0  # child rows sort first within each run
         # distinct (c, p) edges: child rows minus consecutive duplicates
         # (all duplicates of an edge land in the child's run, adjacent
@@ -425,9 +381,14 @@ def components_distributed(
         return f
 
     split = staged(
-        keyed_partitions(
-            pairs_ds.map_batches(_peel_expand, batch_format="pyarrow"), ["k"], _P(n_edges * 2)
-        ).map_batches(_peel_block, batch_size=None, batch_format="pyarrow")
+        map_key_runs(
+            pairs_ds.map_batches(_peel_expand, batch_format="pyarrow"),
+            "k",
+            _peel_runs,
+            _P(n_edges * 2),
+            min_run=1,
+            sort_extra=["s", "p"],
+        )
     )
     eds = staged(split.map_batches(_peel_take(0), batch_format="pyarrow"))
     rows = eds.count()
@@ -451,40 +412,43 @@ def components_distributed(
         raise RuntimeError("components_distributed: star rounds did not converge")
 
     # --- 3: relabel the leaves through the stars, then the root rows ---
-    def _relabel_rows(star: int):
-        # a star edge is keyed by its child and carries the root; a leaf
-        # edge is keyed by its parent and carries the leaf
+    def _relabel_rows(s: int):
+        # a star edge (s=0) is keyed by its child and carries the root;
+        # a leaf edge (s=1) is keyed by its parent and carries the leaf
         def f(t: pa.Table) -> pa.Table:
             c, p = t.column("c"), t.column("p")
-            k, v = (c, p) if star else (p, c)
-            return pa.table({"k": k, "v": v, "s": pa.array(np.full(len(t), star, np.int8))})
+            k, v = (p, c) if s else (c, p)
+            return pa.table({"k": k, "v": v, "s": pa.array(np.full(len(t), s, np.int8))})
 
         return f
 
-    def _relabel_block(block: pa.Table) -> pa.Table:
+    def _relabel_runs(block: pa.Table, starts, ends) -> pa.Table:
         if len(block) == 0:
             return _empty(("image_id", "cluster_id"))
-        block = block.sort_by([("k", "ascending"), ("s", "descending")])
         k, v = _flat(block.column("k"), id_type), _flat(block.column("v"), id_type)
-        star = _flat(pc.equal(block.column("s"), 1))
-        starts = _run_starts(k)
+        star = _flat(pc.equal(block.column("s"), 0))
         # a run's label: its star row's root (the node is a star child,
         # and that row sorts first), else the node itself
         first = pa.array(starts)
         root = pc.if_else(star.take(first), v.take(first), k.take(first))
-        run_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(k))))
         return pa.table(
-            {"image_id": pc.if_else(star, k, v), "cluster_id": root.take(pa.array(run_of))}
+            {
+                "image_id": pc.if_else(star, k, v),
+                "cluster_id": root.take(pa.array(_run_of(starts, ends))),
+            }
         )
 
     finals = staged(
-        keyed_partitions(
-            eds.map_batches(_relabel_rows(1), batch_format="pyarrow").union(
-                peeled.map_batches(_relabel_rows(0), batch_format="pyarrow")
+        map_key_runs(
+            eds.map_batches(_relabel_rows(0), batch_format="pyarrow").union(
+                peeled.map_batches(_relabel_rows(1), batch_format="pyarrow")
             ),
-            ["k"],
+            "k",
+            _relabel_runs,
             _P(rows + peeled_rows),
-        ).map_batches(_relabel_block, batch_size=None, batch_format="pyarrow")
+            min_run=1,
+            sort_extra=["s"],
+        )
     )
 
     # children rows are globally unique; root rows need one slim

@@ -1,6 +1,6 @@
 """Deduplication operators over ray.data Datasets.
 
-- exact dedup: content-hash groupby, keep min-id row (also the
+- exact dedup: 128-bit content-key runs, keep min-id row (also the
   pre-collapse pass that defuses LSH bucket skew — SURVEY.md §4.2)
 - substring dedup: a broadcast table of min-window query anchors, probed
   and hash-verified by each container doc's own map task
@@ -16,8 +16,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -25,60 +23,30 @@ import pyarrow.compute as pc
 from raydedup.hashing import ragged_arange
 
 # ---------------------------------------------------------------- exact dedup
-def add_content_hash(batch: pa.Table, cols: list[str], out_col: str = "content_hash") -> pa.Table:
-    """Vectorized-ish content hash (SHA1 hex of the concatenated column
-    reprs). SHA1 must run per row; columns are pre-rendered with Arrow
-    kernels so the loop touches plain bytes only.
+def exact_dedup(ds, key_cols: list[str], id_col: str, num_partitions: int | None = None):
+    """Keep one representative row (min id) per identical content.
 
-    NULL values render as a type-prefix sentinel (``\\x00``) distinct
-    from any real string (``\\x01`` + value), so a NULL cell and an
-    empty string never hash together — matching SQL GROUP BY semantics
-    where NULLs form their own group separate from ''."""
-    rendered = [pc.cast(batch.column(c), pa.string()).to_pylist() for c in cols]
-    hashes = [
-        hashlib.sha1(
-            "\x1f".join("\x00" if v is None else "\x01" + v for v in row).encode("utf-8")
-        ).hexdigest()
-        for row in zip(*rendered)
-    ]
-    return batch.append_column(out_col, pa.array(hashes, pa.string()))
-
-
-def exact_dedup(ds, key_cols: list[str], id_col: str, keep_payload: bool = True, num_partitions: int | None = None):
-    """Keep one representative (min id) per identical content.
-
-    hash in map_batches (cheap, parallel) → range-partition sort on
-    content_hash → per-run min-id (stages/grouped.py: one Python call
-    per partition, not per group). Only the hash + id transit the
-    shuffle unless ``keep_payload`` (then whole rows minus any
-    pre-dropped blobs)."""
-    from raydedup.stages.grouped import auto_partitions, keyed_partitions
+    The pipeline's vectorized 128-bit content key over ``key_cols``
+    (``bands._exact_key_hash128``: NULL, '' and a literal '\\x00' stay
+    distinct, as in SQL ``GROUP BY``) in map_batches → ``map_key_runs``
+    on the key, ids ascending in each run, so each run's first row IS
+    its min-id representative."""
+    from raydedup.stages.bands import _exact_key_hash128
+    from raydedup.stages.grouped import auto_partitions, map_key_runs
 
     if num_partitions is None:
         num_partitions = auto_partitions(ds)
-    hashed = ds.map_batches(
-        lambda t: add_content_hash(t, key_cols), batch_format="pyarrow"
-    )
-    if not keep_payload:
-        hashed = hashed.select_columns(["content_hash", id_col])
+    key = ["__key_lo", "__key_hi"]
 
-    parted = keyed_partitions(hashed, ["content_hash"], num_partitions)
+    def add_key(t: pa.Table) -> pa.Table:
+        lo, hi = _exact_key_hash128(t, tuple(key_cols))
+        return t.append_column(key[0], pa.array(lo)).append_column(key[1], pa.array(hi))
 
-    def keep_min_per_run(block: pa.Table) -> pa.Table:
-        if len(block) == 0:
-            return block
-        # ONE two-key Arrow C++ sort replaces the former per-run Python
-        # argmin (an object-dtype compare per group for string ids):
-        # after (hash, id) sort, each run's first row IS its min-id rep
-        block = block.sort_by(
-            [("content_hash", "ascending"), (id_col, "ascending")]
-        )
-        h = block.column("content_hash").to_numpy(zero_copy_only=False)
-        change = np.nonzero(h[1:] != h[:-1])[0] + 1
-        starts = np.concatenate(([0], change))
-        return block.take(pa.array(starts))
+    def keep_min_per_run(block: pa.Table, starts, ends) -> pa.Table:
+        return block.take(pa.array(starts)).drop_columns(key)
 
-    return parted.map_batches(keep_min_per_run, batch_size=None, batch_format="pyarrow")
+    keyed = ds.map_batches(add_key, batch_format="pyarrow")
+    return map_key_runs(keyed, key, keep_min_per_run, num_partitions, min_run=1, sort_extra=[id_col])
 
 
 # ------------------------------------------------------------ substring dedup

@@ -2,25 +2,28 @@
 
 ``GroupedData.map_groups`` invokes Python once per group and builds an
 Arrow table per group — ruinous when the grouping key has millions of
-tiny groups (LSH buckets, anchor windows). This helper instead:
+tiny groups (LSH buckets, anchor windows). ``map_key_runs`` is the
+engine's one path for keyed run processing instead:
 
-1. ``keyed_partitions``: ``repartition(P)`` (coalesce to P blocks), then
-   ``sort(keys)`` — a task-only range partition (sampled boundaries, a
-   split in P map tasks, a merge in P reduce tasks). Every key lands
-   wholly inside one block: a reducer returns one merged block, and
-   the sort is on exactly the run keys, so no boundary falls inside a
-   run;
-2. ``map_batches(fn, batch_size=None)`` — fn sees a whole partition and
-   detects group runs with one vectorized compare, skipping singleton
-   runs without touching Python per group.
+1. ``keyed_partitions`` (internal): ``repartition(P)`` (coalesce to P
+   blocks), then ``sort(keys)`` — a task-only range partition (sampled
+   boundaries, a split in P map tasks, a merge in P reduce tasks).
+   Every key lands wholly inside one block: a reducer returns one
+   merged block, and the sort is on exactly the run keys, so no
+   boundary falls inside a run;
+2. one ``map_batches(batch_size=None)`` per partition sorts the block
+   by the keys (plus any secondary columns) and finds its runs with
+   ``_run_bounds``, one Arrow compare per key, so the run function sees
+   a whole partition and never runs Python per group.
 
-This is the engine's primitive for all bucket-shaped shuffles; the
-partition count P is the knob that maps to cluster width. It starts no
-actors. ``aggregate_per_key`` is the grouped sum/min/max/count with a
-map-side combiner, on the same keyed grouping; ``map_blocks`` runs a
-small map over a pinned table as at most one plain Ray task per CPU;
-``top_k_per_key`` keeps the first k rows per key without a keyed
-shuffle.
+The partition count P is the knob that maps to cluster width. It
+starts no actors. Every keyed operator here sits on the same keyed
+grouping: ``unique_rows_partitioned`` is a ``map_key_runs`` that keeps
+each run's first row; ``aggregate_per_key`` is the grouped
+sum/min/max/count with a map-side combiner; ``top_k_per_key`` keeps the
+first k rows per key without a keyed shuffle, on ``_run_bounds``.
+``map_blocks`` runs a small map over a pinned table as at most one
+plain Ray task per CPU.
 """
 
 from __future__ import annotations
@@ -184,28 +187,37 @@ def task_stage(cls, **kwargs):
 
 
 def _run_bounds(block: pa.Table, keys: list[str]):
+    """``(starts, ends)`` of the runs of equal ``keys`` tuples in a
+    block sorted by ``keys``: one Arrow ``not_equal`` per key, so string
+    keys never become Python objects. A null equals a null and differs
+    from every value, as in SQL ``GROUP BY``."""
     n = len(block)
+    if n == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
     change = np.zeros(n - 1, dtype=bool)
     for k in keys:
-        col = block.column(k).to_numpy(zero_copy_only=False)
-        change |= col[1:] != col[:-1]
-    idx = np.nonzero(change)[0] + 1
-    starts = np.concatenate(([0], idx))
-    ends = np.concatenate((idx, [n]))
-    return starts, ends
+        col = block.column(k)
+        ne = pc.not_equal(col.slice(1), col.slice(0, n - 1))
+        change |= pc.fill_null(ne, False).to_numpy(zero_copy_only=False)
+        if col.null_count:
+            null = pc.is_null(col).to_numpy(zero_copy_only=False)
+            change |= null[1:] != null[:-1]
+    idx = np.flatnonzero(change) + 1
+    return np.concatenate(([0], idx)), np.concatenate((idx, [n]))
 
 
 def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run: int = 2, sort_extra: list[str] | tuple = (), approx_rows: int | None = None, **map_kwargs):
-    """Apply ``run_fn(block, starts, ends)`` to every key partition.
+    """Apply ``run_fn(block, starts, ends)`` to every key partition:
+    the engine's one path for keyed run processing.
 
     ``block`` is a pyarrow.Table sorted by ``keys`` (+ ``sort_extra``
     as secondary sort columns — runs are still delimited on ``keys``
     alone, but rows inside each run arrive in ``sort_extra`` order,
     letting run kernels replace per-run sorting/unique with
     consecutive-run logic); ``starts``/``ends`` are numpy index arrays
-    delimiting runs with ≥ 2 rows (singleton groups are pre-filtered —
-    the common case for LSH buckets). ``run_fn`` returns a
-    pyarrow.Table.
+    delimiting runs with ≥ ``min_run`` rows (by default singleton
+    groups, the common case for LSH buckets, are pre-filtered).
+    ``run_fn`` returns a pyarrow.Table.
 
     Partitions come from ``keyed_partitions``; ``per_block`` sorts
     in-block (the coalesced path arrives unsorted, and ``sort_extra``
@@ -327,17 +339,11 @@ def aggregate_per_key(ds, keys: list[str], aggs: dict[str, tuple[str, str]]):
 
 
 def unique_rows_partitioned(ds, keys: list[str], num_partitions: int):
-    """Distinct rows over ``keys`` (projection included): key partition
-    + per-block sort + keep first of each run — the vectorized
-    replacement for ``groupby(keys).count()``-style dedupe."""
-    parted = keyed_partitions(ds, keys, num_partitions)
+    """Distinct rows over ``keys`` (projection included): the first row
+    of every run — the vectorized replacement for
+    ``groupby(keys).count()``-style dedupe."""
 
-    def per_block(block: pa.Table) -> pa.Table:
-        block = block.select(keys)
-        if len(block) <= 1:
-            return block
-        block = block.sort_by([(k, "ascending") for k in keys])
-        starts, _ = _run_bounds(block, keys)
-        return block.take(pa.array(starts))
+    def first_rows(block: pa.Table, starts, ends) -> pa.Table:
+        return block.select(keys).take(pa.array(starts))
 
-    return parted.map_batches(per_block, batch_size=None, batch_format="pyarrow")
+    return map_key_runs(ds, keys, first_rows, num_partitions, min_run=1)

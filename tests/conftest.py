@@ -87,6 +87,19 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture(params=["distributed", "coalesced"])
+def shuffle_mode(request, monkeypatch):
+    """Run keyed-shuffle tests on BOTH paths: the in-memory test tables
+    are metadata-countable, so without forcing SMALL_SHUFFLE_ROWS=0 the
+    small-input coalesce would silently take over and the distributed
+    empty-partition regressions would go unexercised."""
+    import raydedup.stages.grouped as G
+
+    if request.param == "distributed":
+        monkeypatch.setattr(G, "SMALL_SHUFFLE_ROWS", 0)
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def reference_datasketch():
     """The reference library, imported with the scipy stub in place.

@@ -281,3 +281,31 @@ def test_connected_components_distributed_raw_multiset(ray_session):
         .reset_index(drop=True)
     )
     assert got.equals(want.sort_values("image_id").reset_index(drop=True))
+
+
+def _dsu_min_codes(u, v, n):
+    from raydedup.stages.components import DSU
+
+    dsu = DSU()
+    for a, b in zip(u.tolist(), v.tolist()):
+        dsu.union(a, b)
+    return np.array([dsu.find(x) for x in range(n)])
+
+
+def test_min_code_labels_equal_dsu():
+    """The one union-find kernel gives every node the min code of its
+    component, as the Python DSU does, on a star forest, a random graph
+    and a 5,000-node chain with scrambled codes."""
+    from raydedup.stages.components import _min_code_labels
+
+    rng = np.random.default_rng(23)
+    graphs = {}
+    centers = rng.permutation(1200)[:40]  # star forest: 40 stars over 1,200 codes
+    leaves = np.setdiff1d(np.arange(1200), centers)
+    graphs["stars"] = (np.repeat(centers, len(leaves) // 40), leaves[: 40 * (len(leaves) // 40)], 1200)
+    graphs["random"] = (rng.integers(0, 3000, 2500), rng.integers(0, 3000, 2500), 3000)
+    chain = rng.permutation(5000)
+    graphs["chain"] = (chain[:-1], chain[1:], 5000)
+    for name, (u, v, n) in graphs.items():
+        got = _min_code_labels(u.astype(np.int64), v.astype(np.int64), n)
+        assert (got == _dsu_min_codes(u, v, n)).all(), name

@@ -22,19 +22,6 @@ def _ds_from_table(t: pa.Table, blocks: int):
     return rd.from_arrow(t).repartition(blocks)
 
 
-@pytest.fixture(params=["distributed", "coalesced"])
-def shuffle_mode(request, monkeypatch):
-    """Run keyed-shuffle tests on BOTH paths: the in-memory test tables
-    are metadata-countable, so without forcing SMALL_SHUFFLE_ROWS=0 the
-    small-input coalesce would silently take over and the distributed
-    empty-partition regressions would go unexercised."""
-    import raydedup.stages.grouped as G
-
-    if request.param == "distributed":
-        monkeypatch.setattr(G, "SMALL_SHUFFLE_ROWS", 0)
-    return request.param
-
-
 def test_map_key_runs_more_partitions_than_keys(ray_session, shuffle_mode):
     from raydedup.stages.grouped import map_key_runs, unique_rows_partitioned
 
@@ -110,23 +97,27 @@ def small_blocks():
     ctx.target_max_block_size = old
 
 
-@pytest.mark.parametrize("keys", [["k"], ["id_a", "id_b"]])
+@pytest.mark.parametrize("keys", [["k"], ["id_a", "id_b"], ["u"], ["s"], ["s", "id_a"]])
 def test_map_key_runs_every_key_in_one_call(ray_session, shuffle_mode, small_blocks, keys):
     """Each key reaches exactly one ``per_block`` call: 30k rows in 20
     input blocks over 4 partitions, with 16 KiB target blocks, never
     split a run across the sort's output blocks — also for a two-column
-    key, whose range boundaries are tuples."""
+    key, whose range boundaries are tuples, a full-range uint64 key and
+    string keys (``''`` and non-ASCII included)."""
     import uuid
 
     from raydedup.stages.grouped import map_key_runs
 
     rng = np.random.default_rng(11)
     n = 30_000
+    words = np.array(["", "é", "a\x00"] + [f"w{i}" for i in range(2_000)], dtype=object)
     t = pa.table(
         {
             "k": pa.array(rng.integers(0, 5_000, n), pa.int64()),
             "id_a": pa.array(rng.integers(0, 50, n), pa.int64()),
             "id_b": pa.array(rng.integers(0, 100, n), pa.int64()),
+            "u": pa.array(rng.integers(0, 4_000, n, dtype=np.uint64) * np.uint64(4_611_686_018_427_387), pa.uint64()),
+            "s": pa.array(words[rng.integers(0, len(words), n)].tolist(), pa.string()),
             "v": pa.array(np.arange(n), pa.int64()),
         }
     )
@@ -706,3 +697,37 @@ def test_map_blocks_matches_map_batches(ray_session, sizes):
     assert out.take_all() == sorted(want, key=lambda r: r["v"])
     assert out.num_blocks() <= 4
     assert out.count() == sum(sizes) // 2 + sum(sizes) % 2
+
+
+@pytest.mark.parametrize("case", ["uint64", "string", "string_nulls", "two_keys"])
+def test_run_bounds_match_python_reference(case):
+    """``_run_bounds`` on a sorted, multi-chunk block gives the runs of
+    a Python scan over the rows: a null equals a null and differs from
+    every value, '' included. (Through ``map_key_runs`` the non-null
+    key types run in ``test_map_key_runs_every_key_in_one_call``; Ray's
+    range-partition sort cannot order None against a string.)"""
+    from raydedup.stages.grouped import _run_bounds
+
+    rng = np.random.default_rng(5)
+    n = 600
+    words = np.array(["", "a", "b", "ab", "ba", "é", "a\x00"], dtype=object)
+    u64 = rng.choice(np.array([0, 1, 7, 1 << 40, (1 << 64) - 1], dtype=np.uint64), n)
+    text = words[rng.integers(0, len(words), n)].tolist()
+    nulled = [None if rng.random() < 0.2 else w for w in text]
+    cols = {
+        "uint64": {"k": pa.array(u64, pa.uint64())},
+        "string": {"k": pa.array(text, pa.string())},
+        "string_nulls": {"k": pa.array(nulled, pa.string())},
+        "two_keys": {"k": pa.array(nulled, pa.string()), "j": pa.array(u64 % np.uint64(3), pa.uint64())},
+    }[case]
+    keys = list(cols)
+    t = pa.table(cols).sort_by([(k, "ascending") for k in keys])
+    t = pa.Table.from_batches(t.to_batches(max_chunksize=97))  # slices cross chunk edges
+    assert t.column(keys[0]).num_chunks > 1
+    rows = list(zip(*[t.column(k).to_pylist() for k in keys]))
+    want = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
+    starts, ends = _run_bounds(t, keys)
+    assert starts.tolist() == want and ends.tolist() == want[1:] + [n]
+    if case == "string_nulls":
+        assert (None,) in rows and ("",) in rows
+        assert len(starts) == len(set(rows))  # one run for the nulls, one for ''

@@ -272,11 +272,11 @@ def test_bit_length_u64_exact_vs_python():
 def test_content_hash_null_vs_empty_distinct():
     import pyarrow as pa
 
-    from raydedup.stages.dedup import add_content_hash
+    from raydedup.stages.bands import _exact_key_hash128
 
     t = pa.table({"text": pa.array([None, "", "\x00"], pa.string()), "id": [1, 2, 3]})
-    out = add_content_hash(t, ["text"])
-    h = out.column("content_hash").to_pylist()
+    lo, hi = _exact_key_hash128(t, ("text",))
+    h = list(zip(lo.tolist(), hi.tolist()))
     assert len(set(h)) == 3  # NULL, '' and literal '\x00' all distinct
 
 

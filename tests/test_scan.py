@@ -6,16 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pytest
-
-
-@pytest.fixture(params=["distributed", "coalesced"])
-def shuffle_mode(request, monkeypatch):
-    import raydedup.stages.grouped as G
-
-    if request.param == "distributed":
-        monkeypatch.setattr(G, "SMALL_SHUFFLE_ROWS", 0)
-    return request.param
 
 
 def _check(order: np.ndarray, vals: np.ndarray, blocks: int, parts: int | None):

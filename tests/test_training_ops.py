@@ -220,18 +220,6 @@ def test_source_similarity_bruteforce(ray_session):
         assert row.jaccard_est == row.n_equal_slots / 128.0
 
 
-import pytest
-
-
-@pytest.fixture(params=["distributed", "coalesced"])
-def shuffle_mode(request, monkeypatch):
-    import raydedup.stages.grouped as G
-
-    if request.param == "distributed":
-        monkeypatch.setattr(G, "SMALL_SHUFFLE_ROWS", 0)
-    return request.param
-
-
 def test_length_quantiles_both_shuffle_paths(ray_session, shuffle_mode):
     """The quantile walk is identical through the coalesced single-task
     path and the real hash shuffle (empty partitions included)."""
