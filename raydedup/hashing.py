@@ -66,7 +66,7 @@ HASH64_FUNCS = {"sha1": sha1_hash64, "md5": md5_hash64}
 # long shingle never costs a numpy pass per block. Bit-exact with the
 # scalar functions above.
 _BLOCK_BYTES = 55  # 64 - the 0x80 terminator - the 8-byte bit length
-_DIGEST_ROWS = 8192  # messages per pass: keeps each uint32 column in cache
+_DIGEST_ROWS = 32768  # messages per pass: one pass per 1024-row signature batch (~22k shingles), 128 KiB per uint32 column
 _IV = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
 _SHA1_K = tuple(np.uint32(k) for k in (0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6))
 _MD5_K = tuple(np.uint32(int(abs(np.sin(i + 1)) * 2**32)) for i in range(64))

@@ -46,7 +46,7 @@ def minhash_batch(
     token_lists: list,
     a: np.ndarray,
     b: np.ndarray,
-    chunk_tokens: int = 8_192,
+    chunk_tokens: int = 512,
     hashfunc: str = "sha1",
     scratch: dict | None = None,
 ) -> np.ndarray:
@@ -55,8 +55,11 @@ def minhash_batch(
     Args:
         token_lists: list (len N) of iterables of token ``bytes``.
         a, b: permutation params from :func:`generate_permutations`.
-        chunk_tokens: cap on tokens permuted per matrix op, bounding the
-            ``(num_perm, chunk)`` work buffers to ~17 MiB at 128 perms.
+        chunk_tokens: cap on tokens permuted per matrix op. At the
+            default 512 the three ``(num_perm, chunk)`` work buffers
+            take 1.25 MiB at 128 perms, inside a 2 MiB per-core L2:
+            fastest of 256-8,192 on a 36.5k-row corpus (BASELINE.md),
+            where 8,192 (17 MiB) ran the permute ~20% slower.
         scratch: optional per-caller dict of reusable work buffers
             (see ``_scratch_buf``).
 
@@ -80,7 +83,7 @@ def minhash_batch_hashed(
     counts: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    chunk_tokens: int = 8_192,
+    chunk_tokens: int = 512,
     scratch: dict | None = None,
 ) -> np.ndarray:
     """Permute + segment-min core of :func:`minhash_batch` over
@@ -122,11 +125,11 @@ def minhash_batch_hashed(
         np.right_shift(phv, np.uint64(61), out=hi)
         phv &= MERSENNE_PRIME
         phv += hi
-        mask = _scratch_buf(scratch, "mask", num_perm, w, bool)
-        np.greater_equal(phv, MERSENNE_PRIME, out=mask)
-        np.subtract(phv, MERSENNE_PRIME, out=phv, where=mask)
-        np.bitwise_and(phv, MAX_HASH, out=phv)
-        seg = np.minimum.reduceat(phv, starts[c0:c1] - s, axis=1).T  # (rows, P)
+        if phv.max() >= MERSENNE_PRIME:  # y ∈ [p, p + 7]: ~2^-58 per value
+            np.subtract(phv, MERSENNE_PRIME, out=phv, where=phv >= MERSENNE_PRIME)
+        low = _scratch_buf(scratch, "low", num_perm, w, np.uint32)
+        np.bitwise_and(phv, MAX_HASH, out=low, casting="unsafe")
+        seg = np.minimum.reduceat(low, starts[c0:c1] - s, axis=1).T  # (rows, P)
         cur = sig[nz[c0:c1]]
         np.minimum(cur, seg, out=cur)
         sig[nz[c0:c1]] = cur

@@ -1265,6 +1265,7 @@ def q_cross_source_neardup(sf_dir: str):
     from raydedup.stages.bands import _flat_triu, fold_band_buckets
     from raydedup.stages.grouped import (
         auto_partitions,
+        map_blocks,
         map_key_runs,
         staged,
         unique_rows_partitioned,
@@ -1293,10 +1294,9 @@ def q_cross_source_neardup(sf_dir: str):
             }
         )
 
-    # staged(): the slim band rows are materialized before the keyed
-    # sort starts, so the signature map never shares a plan with it —
-    # exactly how dedup_pipeline sequences the same stages.
-    band_ds = staged(sigs.map_batches(explode, batch_format="pyarrow"))
+    # the slim band rows are pinned before the keyed sort starts, as
+    # in dedup_pipeline's band explode
+    band_ds = map_blocks(sigs, explode)
 
     def emit(block: pa.Table, starts, ends) -> pa.Table:
         ids = block.column("doc_id").combine_chunks()
@@ -2144,13 +2144,13 @@ def q_bloom_dedup_filter(sf_dir: str):
     import ray
 
     from raydedup.bloom import BloomDedupStage, build_band_bloom
-    from raydedup.stages.grouped import staged, task_stage
+    from raydedup.stages.grouped import task_stage
     from raydedup.stages.signatures import signature_map
 
     b, r, fp = 16, 8, 1e-4
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    sig_ds = staged(signature_map(ds, text_col="text", phash_col=None, hashfunc="md5"))
-    n_total = sig_ds.count()  # staged → metadata-cheap
+    sig_ds = signature_map(ds, text_col="text", phash_col=None, hashfunc="md5")
+    n_total = sig_ds.count()  # pinned → metadata-cheap
 
     def _half(keep_even: bool):
         want = 0 if keep_even else 1

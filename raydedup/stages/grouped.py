@@ -22,8 +22,8 @@ grouping: ``unique_rows_partitioned`` is a ``map_key_runs`` that keeps
 each run's first row; ``aggregate_per_key`` is the grouped
 sum/min/max/count with a map-side combiner; ``top_k_per_key`` keeps the
 first k rows per key without a keyed shuffle, on ``_run_bounds``.
-``map_blocks`` runs a small map over a pinned table as at most one
-plain Ray task per CPU.
+``map_blocks`` runs a map over a pinned table or a lazy read as at
+most one plain Ray task per CPU.
 """
 
 from __future__ import annotations
@@ -123,10 +123,26 @@ def staged(ds):
     return ds.materialize()
 
 
-def _map_blocks_task(fn, *blocks) -> pa.Table:
-    from ray.data.block import BlockAccessor
+def _map_blocks_task(fn, *blocks):
+    from ray.data.block import BlockAccessor, BlockMetadataWithSchema
 
-    return pa.concat_tables([fn(BlockAccessor.for_block(b).to_arrow()) for b in blocks])
+    out = pa.concat_tables([fn(BlockAccessor.for_block(b).to_arrow()) for b in blocks])
+    return out, BlockMetadataWithSchema.from_block(out)
+
+
+def _pinned_dataset(refs: list, meta: list):
+    """``ray.data.from_arrow_refs(refs)`` given each block's
+    ``BlockMetadataWithSchema`` (what ``from_arrow_refs`` computes in
+    one remote task per block)."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": meta}, parent=None), DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, meta), plan._context))
 
 
 _remote_map_blocks = None
@@ -136,35 +152,40 @@ def map_blocks(ds, fn):
     """``fn(pa.Table) -> pa.Table`` over every non-empty block of
     ``ds``, as at most P = ``effective_partitions`` plain Ray tasks.
     Each task takes ⌈blocks/P⌉ contiguous blocks, calls ``fn`` once per
-    block and returns one Arrow block; the result is a materialized
-    Dataset of those blocks.
+    block and returns one Arrow block with its block metadata; the
+    result is a materialized Dataset of those blocks. The tasks return
+    the metadata so that building the Dataset runs no further task:
+    ``ray.data.from_arrow_refs`` runs one per block, and in a cold
+    2-CPU session one such task waited 0.65 s for a worker the raylet
+    started for it.
 
-    For small maps over pinned data. Before an operator's first task
-    reports its output size, Ray Data 2.49 budgets it at twice
-    ``target_max_block_size`` (256 MiB), which is the whole Ray Data
-    store share of a 512 MiB object store, so a ``map_batches`` over a
-    pinned 13-block table ran one ~15 ms task at a time on 2 CPUs. The
-    cap of P tasks is deliberate: one task per block queued more tasks
-    than CPUs and the raylet started extra workers (≈ 77 MB each).
+    For maps over a pinned table (the band explode, the substring
+    passes) or a lazy read (the signature map). Before an operator's
+    first task reports its output size, Ray Data 2.49 budgets it at
+    twice ``target_max_block_size`` (256 MiB), which is the whole Ray
+    Data store share of a 512 MiB object store, so a ``map_batches``
+    over a pinned 13-block table ran one ~15 ms task at a time on 2
+    CPUs. The cap of P tasks is deliberate: one task
+    per block queued more tasks than CPUs and the raylet started extra
+    workers (≈ 77 MB each).
 
-    Runs eagerly; a lazy ``ds`` executes once, here. Zero-row input
+    Runs eagerly; a lazy ``ds`` executes once, here, and its blocks
+    stay in the object store until the tasks finish. Zero-row input
     blocks are dropped on the driver from the block metadata, so ``fn``
     never sees one, as with ``map_batches``; an input with no rows
     returns an empty Dataset with no blocks."""
     import ray
-    import ray.data as rd
 
     global _remote_map_blocks
     blocks = [ref for bundle in ds.iter_internal_ref_bundles() for ref, meta in bundle.blocks if meta.num_rows != 0]
     if not blocks:
-        return rd.from_arrow_refs([])
+        return _pinned_dataset([], [])
     if _remote_map_blocks is None:
-        _remote_map_blocks = ray.remote(_map_blocks_task)
+        _remote_map_blocks = ray.remote(num_returns=2)(_map_blocks_task)
     fn_ref = ray.put(fn)
     per = -(-len(blocks) // effective_partitions(len(blocks)))
-    return rd.from_arrow_refs(
-        [_remote_map_blocks.remote(fn_ref, *blocks[i : i + per]) for i in range(0, len(blocks), per)]
-    )
+    outs = [_remote_map_blocks.remote(fn_ref, *blocks[i : i + per]) for i in range(0, len(blocks), per)]
+    return _pinned_dataset([o[0] for o in outs], ray.get([o[1] for o in outs]))
 
 
 def task_stage(cls, **kwargs):
@@ -172,10 +193,12 @@ def task_stage(cls, **kwargs):
     ``cls(**kwargs)`` is built once per map TASK and reused across that
     task's batches (the closure, ``holder`` included, is deserialized
     per task), while scheduling stays elastic tasks — right for stages
-    whose state is tiny (seed-derived permutations, codec parameters,
-    compiled regexes) or one broadcast ObjectRef fetched in
-    ``__init__``. Only state too costly to rebuild per task (a model)
-    would want an actor pool."""
+    whose state is tiny (the weighted MinHash's seed-derived
+    permutations, codec parameters, compiled regexes) or one broadcast
+    ObjectRef fetched in ``__init__``. Only state too costly to rebuild
+    per task (a model) would want an actor pool. The signature map does
+    not use it: ``signatures.signature_map`` builds its stage per block
+    inside ``map_blocks`` tasks."""
     holder: dict = {}
 
     def fn(batch):

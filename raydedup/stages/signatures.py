@@ -1,4 +1,4 @@
-"""Signature stage: MinHash + SimHash columns via map_batches.
+"""Signature stage: MinHash + SimHash columns, one Arrow batch at a time.
 
 The reference computes one `MinHash` object per document in a Python
 loop (``datasketch/minhash.py:464-489`` bulk). Here one call processes
@@ -7,9 +7,10 @@ vectorized SHA-1/MD5 over the Arrow buffers (``hashing.digest_arrow``),
 permute in one matrix op, segment-min per row.
 
 State (permutation matrix, doc memo) is built in ``__init__`` from the
-seed — deterministic, never shipped (SURVEY.md §4.3) — once per map
-task under ``grouped.task_stage``. :func:`signature_map` is the one
-signature map: the flagship, the bench and every MinHash query run it.
+seed — deterministic, never shipped (SURVEY.md §4.3) — once per block
+inside the ``grouped.map_blocks`` tasks of :func:`signature_map`, the
+one signature map: the flagship, the bench and every MinHash query run
+it.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from raydedup.hashing import (
 from raydedup.minhash import minhash_batch, minhash_batch_hashed
 from raydedup.schema import numpy_to_sig
 from raydedup.simhash import simhash_from_phash
-from raydedup.stages.grouped import task_stage
 
 # rows per signature map batch: amortizes the per-op numpy cost of the
-# SHA-1 rounds; the permute buffers stay ≤ ~17 MB (minhash_batch_hashed
-# chunks of 8,192 tokens)
+# SHA-1 rounds; the permute's work buffers are sized by its token chunk,
+# not by the batch (minhash_batch_hashed)
 SIGNATURE_BATCH_SIZE = 1024
 
 
@@ -195,13 +195,40 @@ class SignatureStage:
 
 
 def signature_map(ds, **stage_kwargs):
-    """``ds`` with ``SignatureStage(**stage_kwargs)`` applied as
-    ``map_batches`` tasks: the permutation state is tiny and seed-derived,
-    so it is rebuilt once per task, and scheduling stays elastic where an
-    actor pool pays spin-up and a fixed size."""
-    return ds.map_batches(
-        task_stage(SignatureStage, **stage_kwargs),
-        batch_format="pyarrow",
-        batch_size=SIGNATURE_BATCH_SIZE,
-        num_cpus=1,
-    )
+    """``ds`` with ``SignatureStage(**stage_kwargs)`` applied, as at most
+    one plain Ray task per CPU (``grouped.map_blocks``): each task builds
+    one stage per block (the permutation state is tiny and seed-derived)
+    and feeds it ``SIGNATURE_BATCH_SIZE``-row slices, so rows keep the
+    input's order. Runs eagerly and returns a pinned Dataset.
+
+    A lazy input that has (or may have, where its schema is unknown)
+    payload columns the stage drops but never reads (``bytes``) loses
+    them in one Ray Data map before it is pinned, so image payloads are
+    never pinned. After a read that splits its output that map is an
+    operator of its own (Ray does not fuse it into the read). A column
+    the stage reads (``text`` in ``drop_cols``) is dropped inside the
+    task."""
+    from ray.data.dataset import MaterializedDataset
+
+    from raydedup.stages.grouped import map_blocks
+
+    stage = SignatureStage(**stage_kwargs)  # bad kwargs fail here, on the driver
+    schema = ds.schema(fetch_if_missing=False)  # None where only an execution would tell
+    payload = [
+        c
+        for c in stage.drop_cols
+        if c not in (stage.text_col, stage.phash_col) and (schema is None or c in schema.names)
+    ]
+    if payload and not isinstance(ds, MaterializedDataset):
+        ds = ds.map_batches(
+            lambda t: t.drop_columns([c for c in payload if c in t.column_names]),
+            batch_format="pyarrow",
+            batch_size=None,
+        )
+    batch = SIGNATURE_BATCH_SIZE  # read on the driver: a size set at run time reaches the tasks
+
+    def per_block(block: pa.Table) -> pa.Table:
+        s = SignatureStage(**stage_kwargs)
+        return pa.concat_tables([s(block.slice(i, batch)) for i in range(0, len(block), batch)])
+
+    return map_blocks(ds, per_block)

@@ -65,6 +65,14 @@ def pytest_configure(config):
         "filterwarnings",
         "ignore:`free` is a deprecated API and will be removed in a future version of Ray:DeprecationWarning",
     )
+    # DataContext.copy() deep-copies the context, and Ray's own
+    # __setattr__ warns on two deprecated fields it sets back
+    # (ray/data/context.py:577-610); these exact messages only
+    for msg in (
+        "`use_push_based_shuffle` is deprecated! Configure `shuffle_strategy` instead.",
+        "`use_polars` is deprecated, please configure `use_polars_sort`  instead.",
+    ):
+        config.addinivalue_line("filterwarnings", f"ignore:{msg}:DeprecationWarning")
 
 
 @pytest.fixture(scope="session")

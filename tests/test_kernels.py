@@ -129,7 +129,7 @@ def test_vectorized_digests_match_hashlib():
 
     import pyarrow as pa
 
-    from raydedup.hashing import digest_arrow, hash_bytes64
+    from raydedup.hashing import _DIGEST_ROWS, digest_arrow, hash_bytes64
 
     def want(data: bytes, hf: str, bits: int) -> int:
         d = hashlib.sha1(data).digest() if hf == "sha1" else hashlib.md5(data).digest()[8:]
@@ -147,7 +147,7 @@ def test_vectorized_digests_match_hashlib():
         pa.array(strs, pa.large_string()),
         pa.array([t.encode() for t in strs], pa.binary()),
         pa.array([], pa.string()),
-        pa.array(strs * 30, pa.string()),  # more rows than one numpy pass takes
+        pa.array(strs * (_DIGEST_ROWS // len(strs) + 2), pa.string()),  # more rows than one numpy pass takes
     ]
     for arr in arrays:
         vals = [v.encode() if isinstance(v, str) else v for v in arr.to_pylist()]
@@ -174,6 +174,30 @@ def test_minhash_batch_hashed_chunks_equal_one_chunk():
     scratch: dict = {}
     assert np.array_equal(minhash_batch_hashed(hv, counts, a, b, chunk_tokens=16, scratch=scratch), one)
     assert np.array_equal(minhash_batch_hashed(hv, counts, a, b, chunk_tokens=16), one)
+
+
+def test_mersenne_fold_top_branch_matches_bigint():
+    """The Mersenne fold's rare ``y >= p`` branch against Python big
+    ints, ``((a*h + b) % 2**64) % p & 0xFFFFFFFF``: a=1, b=p-1, h=1
+    gives ``a*h + b = p`` exactly (y = p), and h = 2**64 - p gives
+    2**64 - 1 (y = p + 7); rows mix values on both sides of the branch,
+    at chunk sizes 16 and 1 << 20."""
+    from raydedup.minhash import minhash_batch_hashed
+
+    p = (1 << 61) - 1
+    a, b = [1, 3], [p - 1, 7]
+    rows = [[1], [2**64 - p, 1 << 40], [5, 2**64 - p, 9]]
+
+    def ref(a_j, b_j, h):
+        return ((a_j * h + b_j) % 2**64) % p & 0xFFFFFFFF
+
+    want = [[min(ref(a_j, b_j, h) for h in row) for a_j, b_j in zip(a, b)] for row in rows]
+    assert want[0][0] == 0 and want[1][0] == 7  # slots the branch decides
+    hv = np.array([h for row in rows for h in row], np.uint64)
+    counts = np.array([len(row) for row in rows])
+    for chunk in (16, 1 << 20):
+        got = minhash_batch_hashed(hv, counts, np.array(a, np.uint64), np.array(b, np.uint64), chunk_tokens=chunk)
+        assert got.tolist() == want, chunk
 
 
 def test_hll_matches_reference(reference_datasketch):
@@ -464,10 +488,11 @@ def test_signature_stage_matches_reference(reference_datasketch):
 
 
 def test_signature_map_equals_driver_stage(ray_session, monkeypatch):
-    """``signature_map`` over a multi-block dataset (several batches per
-    block) gives the driver-side stage's signatures row for row by id,
-    on both hash profiles; it drops ``bytes`` by default and whatever
-    ``drop_cols`` names."""
+    """``signature_map`` over more input blocks than CPUs (several
+    batches per block, one zero-row block), pinned and lazy, gives the
+    driver-side stage's signatures row for row in the input's order, in
+    at most P = 4 blocks (the test session's CPUs); it drops ``bytes``
+    by default and whatever ``drop_cols`` names."""
     import pyarrow as pa
     import ray
     import ray.data as rd
@@ -484,20 +509,28 @@ def test_signature_map_equals_driver_stage(ray_session, monkeypatch):
             "bytes": pa.array([b"x"] * n, pa.binary()),
         }
     )
-    ds = rd.from_arrow(table).repartition(3).materialize()
-    assert ds.num_blocks() >= 3
+    cuts = [0, 5, 11, 11, 20, 26, 33, 41, n]  # 8 blocks, one with zero rows
+    ds = rd.from_arrow([table.slice(s, e - s) for s, e in zip(cuts, cuts[1:])])
+    assert ds.num_blocks() == 8 and ds._meta_count() == n
+    lazy = rd.from_arrow(table).repartition(6)
     for kw in (
         dict(text_col="text", phash_col=None),
         dict(text_col="text", phash_col=None, hashfunc="md5"),
     ):
         want = sig_to_numpy(S.SignatureStage(**kw)(table).column("minhash"))
-        out = pa.concat_tables(ray.get(S.signature_map(ds, **kw).to_arrow_refs()))
-        assert sorted(out.column_names) == ["doc_id", "minhash", "text"], kw
-        ids = out.column("doc_id").to_numpy()
-        assert sorted(ids) == list(range(n))
-        assert np.array_equal(sig_to_numpy(out.column("minhash")), want[ids]), kw
+        for src in (ds, lazy):
+            out_ds = S.signature_map(src, **kw)
+            assert out_ds.num_blocks() <= 4, kw
+            out = pa.concat_tables(ray.get(out_ds.to_arrow_refs()))
+            assert sorted(out.column_names) == ["doc_id", "minhash", "text"], kw
+            ids = out.column("doc_id").to_numpy()
+            assert ids.tolist() == list(range(n)), kw
+            assert np.array_equal(sig_to_numpy(out.column("minhash")), want[ids]), kw
     dropped = S.signature_map(ds, text_col="text", phash_col=None, drop_cols=("text",))
     assert sorted(dropped.schema().names) == ["bytes", "doc_id", "minhash"]
+    both = S.signature_map(lazy, text_col="text", phash_col=None, drop_cols=("bytes", "text"))
+    assert sorted(both.schema().names) == ["doc_id", "minhash"]
+    assert both.count() == n
 
 
 def test_query_signatures_equal_minhash_batch():
