@@ -4,8 +4,8 @@ Rebuilds the query/data-processing capabilities of ekzhu/datasketch
 (reference at /root/reference, v1.10.0) from scratch on top of
 ``ray.data.Dataset``: vectorized 128-perm MinHash over shingles, 64-bit
 SimHash over phash/pixel features, banded LSH as a keyed shuffle (a
-task-only range partition: sampled boundaries, split and merge tasks,
-no actors), union-find connected components, a window-anchor
+hash partition on plain Ray tasks: one split and one reduce round, no
+actors), union-find connected components, a window-anchor
 exact-substring pass, HyperLogLog aggregates — plus the large-scale
 training-data operators (exact/near dedup, ANN search, text
 quality/langid/token stats, multimodal plumbing).

@@ -263,9 +263,8 @@ def dedup_pipeline(ds, config: DedupConfig | None = None) -> dict:
 
     # the edge multiset (band and cross-source duplicates still in):
     # union-find is duplicate-tolerant, so components run directly on
-    # it and the dedupe shuffle is LAZY — it only executes if a caller
-    # actually consumes the ``pairs`` table (the driver queries do;
-    # bench's cluster-only flagship run doesn't pay for it)
+    # it, and the distinct ``pairs`` table is one keyed shuffle after
+    # them (eager, like every keyed shuffle)
     edges = ck.run("pairs", build_pairs)
 
     t0 = time.perf_counter()

@@ -1263,13 +1263,7 @@ def q_cross_source_neardup(sf_dir: str):
 
     from raydedup.schema import sig_to_numpy
     from raydedup.stages.bands import _flat_triu, fold_band_buckets
-    from raydedup.stages.grouped import (
-        auto_partitions,
-        map_blocks,
-        map_key_runs,
-        staged,
-        unique_rows_partitioned,
-    )
+    from raydedup.stages.grouped import auto_partitions, map_blocks, map_key_runs, unique_rows_partitioned
     from raydedup.stages.signatures import signature_map
 
     b, r, num_perm = 9, 13, 128
@@ -1294,7 +1288,7 @@ def q_cross_source_neardup(sf_dir: str):
             }
         )
 
-    # the slim band rows are pinned before the keyed sort starts, as
+    # the slim band rows are pinned before the keyed shuffle starts, as
     # in dedup_pipeline's band explode
     band_ds = map_blocks(sigs, explode)
 
@@ -1325,9 +1319,7 @@ def q_cross_source_neardup(sf_dir: str):
             return empty
         return pa.table({"id_a": ids.take(pa.array(ra[cross])), "id_b": ids.take(pa.array(rb[cross]))})
 
-    # staged(): two keyed shuffles in one lazy plan run slower than
-    # sequential stage executions (see grouped.staged).
-    pairs = staged(map_key_runs(band_ds, "bucket", emit, parts, sort_extra=["doc_id"]))
+    pairs = map_key_runs(band_ds, "bucket", emit, parts, sort_extra=["doc_id"])
     return unique_rows_partitioned(pairs, ["id_a", "id_b"], parts)
 
 
@@ -1880,14 +1872,6 @@ def q_cluster_representatives(sf_dir: str):
     def attach(block: pa.Table, starts: np.ndarray, ends: np.ndarray) -> pa.Table:
         # per doc run (1 doc row + ≤1 label row): -1 sentinels make
         # the non-null value a reduceat max
-        if len(block) == 0:
-            return pa.table(
-                {
-                    "cluster_id": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_chars": pa.array([], pa.int64()),
-                }
-            )
         d = block.column("doc_id").to_numpy(zero_copy_only=False)
         nc = pc.fill_null(block.column("n_chars"), -1).to_numpy(zero_copy_only=False)
         cl = pc.fill_null(block.column("cluster_id"), -1).to_numpy(zero_copy_only=False)
@@ -1903,21 +1887,9 @@ def q_cluster_representatives(sf_dir: str):
             }
         )
 
-    from raydedup.stages.grouped import staged
-
-    # two keyed shuffles: stage the first (live sibling all-to-all
-    # operators degrade the 2.49 executor ~2× — see staged())
-    labeled = staged(map_key_runs(u, "doc_id", attach, num_partitions=nparts, min_run=1))
+    labeled = map_key_runs(u, "doc_id", attach, num_partitions=nparts, min_run=1)
 
     def pick_rep(block: pa.Table, starts: np.ndarray, ends: np.ndarray) -> pa.Table:
-        if len(block) == 0:
-            return pa.table(
-                {
-                    "cluster_id": pa.array([], pa.int64()),
-                    "rep_id": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                }
-            )
         c = block.column("cluster_id").to_numpy(zero_copy_only=False)
         d = block.column("doc_id").to_numpy(zero_copy_only=False)
         nc = block.column("n_chars").to_numpy(zero_copy_only=False)
@@ -2246,10 +2218,7 @@ def q_length_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
         g = t.group_by(["source", "n_chars"]).aggregate([([], "count_all")])
         return g.rename_columns(["source", "n_chars", "c"])
 
-    from raydedup.stages.grouped import meta_count
-
     docs = _read(sf_dir, "documents", columns=["source", "n_chars"])
-    n_docs = meta_count(docs)  # histogram rows ≤ input rows: a valid upper bound
     hist = docs.map_batches(pre, batch_format="pyarrow")
 
     def runs(block: pa.Table, starts: np.ndarray, ends: np.ndarray) -> pa.Table:
@@ -2282,10 +2251,9 @@ def q_length_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
         hist,
         "source",
         runs,
-        auto_partitions(n_docs or hist, rows_per_partition=65536),
+        auto_partitions(docs, rows_per_partition=65536),
         min_run=1,
         sort_extra=["n_chars"],
-        approx_rows=n_docs,
     )
 
 
@@ -2369,10 +2337,6 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16
     cds = add_ivf_cell(ds, cent)
 
     def runs(block: pa.Table, starts: np.ndarray, ends: np.ndarray) -> pa.Table:
-        if len(block) == 0:
-            return pa.table(
-                {"vec_id": pa.array([], pa.int64()), "is_dup": pa.array([], pa.int32())}
-            )
         ids_all = block.column("vec_id").to_numpy()
         m_all = _normalize(_emb_matrix(block, "embedding"))
         dup = np.zeros(len(block), dtype=bool)
@@ -2388,17 +2352,13 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.45, n_centroids: int = 16
 
     # the run kernel emits EVERY block row (singleton cells ride along
     # with is_dup=0 — min_run only gates which runs get the gram matrix)
-    from raydedup.stages.grouped import meta_count
-
-    n_rows_in = meta_count(ds)  # cell-assign is row-preserving: exact bound
     return map_key_runs(
         cds,
         "cell",
         runs,
-        auto_partitions(n_rows_in or cds, rows_per_partition=65536),
+        auto_partitions(ds, rows_per_partition=65536),
         min_run=2,
         sort_extra=["vec_id"],
-        approx_rows=n_rows_in,
     )
 
 
@@ -2564,7 +2524,7 @@ def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3)
        only (line_hash u64, doc_id, li int32) rows leave the map — the
        line frequency table is corpus-sized, so it is never collected
        or broadcast (contrast ``token_rarity_docs``' small-vocab path).
-    2. *keyed sort*: runs with ≥ min_count rows emit their (doc_id,
+    2. *line shuffle*: runs with ≥ min_count rows emit their (doc_id,
        li) rows as drop flags (``map_key_runs`` pre-filters smaller
        runs via ``min_run``).
     3. *doc shuffle*: flags union the docs table keyed by doc_id (the
@@ -2575,12 +2535,11 @@ def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3)
 
     The oracle groups actual line strings; 64-bit hash collisions are
     the usual w.h.p. caveat shared with ``dup_ngram_fraction``."""
-    from raydedup.stages.grouped import auto_partitions, map_key_runs, meta_count, staged
+    from raydedup.stages.grouped import auto_partitions, map_key_runs
     from raydedup.suffix import flat_token_hashes64
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     parts = auto_partitions(ds)
-    n_docs = meta_count(ds)
 
     def explode(batch: pa.Table) -> pa.Table:
         tcol = batch.column("text")
@@ -2620,8 +2579,7 @@ def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3)
             }
         )
 
-    flags = staged(map_key_runs(exploded, "h", flag_runs, parts, min_run=min_count))
-    n_flags = meta_count(flags)
+    flags = map_key_runs(exploded, "h", flag_runs, parts, min_run=min_count)
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -2646,7 +2604,6 @@ def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3)
         .map_batches(tag_docs, batch_format="pyarrow")
         .union(flags.map_batches(pad_flags, batch_format="pyarrow"))
     )
-    approx = (n_docs + n_flags) if (n_docs is not None and n_flags is not None) else None
 
     empty_out = pa.table(
         {
@@ -2697,9 +2654,7 @@ def q_line_dedup_docs(sf_dir: str, delim: str = _LINE_DELIM, min_count: int = 3)
             }
         )
 
-    return map_key_runs(
-        joined, "doc_id", rebuild, parts, min_run=1, sort_extra=["li"], approx_rows=approx
-    )
+    return map_key_runs(joined, "doc_id", rebuild, parts, min_run=1, sort_extra=["li"])
 
 
 _DELIM_SQL = _LINE_DELIM.replace("'", "''")
@@ -2758,16 +2713,7 @@ def q_event_debounce(sf_dir: str, ttl_us: int = 3_600_000_000):
 
     slim = ds.map_batches(pre, batch_format="pyarrow")
 
-    empty = pa.table(
-        {
-            "event_id": pa.array([], pa.int64()),
-            "is_debounced": pa.array([], pa.int32()),
-        }
-    )
-
     def flag(block: pa.Table, starts, ends) -> pa.Table:
-        if len(block) == 0:
-            return empty
         us = block.column("us").to_numpy(zero_copy_only=False)
         n = len(us)
         deb = np.zeros(n, dtype=bool)

@@ -4,8 +4,8 @@ The reference's ``MinHashLSH.insert`` appends keys into ``b`` mutable
 hash tables (``datasketch/lsh.py:326-347``) and ``query`` unions bucket
 members (``lsh.py:370-432``). Here the "index" is a table: each row
 explodes into ``b`` MinHash band rows, plus SimHash bit-band rows and
-one exact content-hash row (``fused_band_explode``); ONE range-partition
-sort co-locates every bucket of all three kinds, and vectorized run
+one exact content-hash row (``fused_band_explode``); ONE keyed hash
+shuffle co-locates every bucket of all three kinds, and vectorized run
 processing over sorted partitions replaces query-time lookups
 (stages/grouped.py — a Python call per *partition*, not per bucket).
 

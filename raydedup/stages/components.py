@@ -183,8 +183,8 @@ def components_distributed(
     2. **Star rounds** over the residue (Kiveris, Lattanzi, Mirrokni,
        Rastogi, Vassilvitskii: *Connected Components in MapReduce and
        Beyond*, SoCC'14 — see PAPERS.md). The state is the edge list
-       itself, oriented child > parent, and each round is ONE staged
-       execution of two keyed shuffles with vectorized Arrow kernels:
+       itself, oriented child > parent, and each round is two keyed
+       shuffles with vectorized Arrow kernels:
 
        - large-star(u): over symmetrized edges grouped by ``u``, emit
          ``(v, m)`` for every neighbor ``v > u``;
@@ -225,6 +225,7 @@ def components_distributed(
 
     from raydedup.stages.grouped import (
         effective_partitions,
+        map_blocks,
         map_key_runs,
         staged,
         unique_rows_partitioned,
@@ -243,9 +244,6 @@ def components_distributed(
     id_type = pairs_ds.schema().base_schema.field("id_a").type
     counter = ray.remote(_Counter).options(num_cpus=0).remote()
 
-    def _empty(cols=("c", "p")) -> pa.Table:
-        return pa.table({c: pa.array([], id_type) for c in cols})
-
     def _run_of(starts, ends):
         return np.repeat(np.arange(len(starts)), ends - starts)
 
@@ -259,8 +257,6 @@ def components_distributed(
     def _star_block(large: bool, pass_key: str):
         def per_runs(block: pa.Table, starts, ends) -> pa.Table:
             n = len(block)
-            if n == 0:
-                return _empty()
             u, v = _flat(block.column("u"), id_type), _flat(block.column("v"), id_type)
             # drop duplicate (u, v) rows; partitioning is by u, so
             # consecutive-dedupe here is globally exact. A run start
@@ -344,8 +340,6 @@ def components_distributed(
 
     def _peel_runs(block: pa.Table, starts, ends) -> pa.Table:
         n = len(block)
-        if n == 0:
-            return _empty().append_column("peel", pa.array([], pa.int8()))
         k = _flat(block.column("k"), id_type)
         p = _flat(block.column("p"), id_type)
         s = block.column("s").to_numpy(zero_copy_only=False)
@@ -380,20 +374,16 @@ def components_distributed(
 
         return f
 
-    split = staged(
-        map_key_runs(
-            pairs_ds.map_batches(_peel_expand, batch_format="pyarrow"),
-            "k",
-            _peel_runs,
-            _P(n_edges * 2),
-            min_run=1,
-            sort_extra=["s", "p"],
-        )
+    split = map_key_runs(
+        pairs_ds.map_batches(_peel_expand, batch_format="pyarrow"),
+        "k",
+        _peel_runs,
+        _P(n_edges * 2),
+        min_run=1,
+        sort_extra=["s", "p"],
     )
-    eds = staged(split.map_batches(_peel_take(0), batch_format="pyarrow"))
-    rows = eds.count()
-    peeled = split.map_batches(_peel_take(1), batch_format="pyarrow")
-    peeled_rows = split.count() - rows
+    eds, peeled = map_blocks(split, _peel_take(0)), map_blocks(split, _peel_take(1))
+    rows, peeled_rows = eds.count(), peeled.count()
 
     # --- 2: alternating star rounds over the residue ---
     for rnd in range(_MAX_STAR_ROUNDS):
@@ -404,7 +394,7 @@ def components_distributed(
             break
         k_l, k_s = f"l{rnd}", f"s{rnd}"
         mid = _star_plan(eds, rows, large=True, pass_key=k_l)
-        eds = staged(_star_plan(mid, rows, large=False, pass_key=k_s))
+        eds = _star_plan(mid, rows, large=False, pass_key=k_s)
         rows = eds.count()
         if ray.get([counter.get.remote(k_l), counter.get.remote(k_s)]) == [0, 0]:
             break
@@ -423,8 +413,6 @@ def components_distributed(
         return f
 
     def _relabel_runs(block: pa.Table, starts, ends) -> pa.Table:
-        if len(block) == 0:
-            return _empty(("image_id", "cluster_id"))
         k, v = _flat(block.column("k"), id_type), _flat(block.column("v"), id_type)
         star = _flat(pc.equal(block.column("s"), 0))
         # a run's label: its star row's root (the node is a star child,
@@ -438,17 +426,15 @@ def components_distributed(
             }
         )
 
-    finals = staged(
-        map_key_runs(
-            eds.map_batches(_relabel_rows(0), batch_format="pyarrow").union(
-                peeled.map_batches(_relabel_rows(1), batch_format="pyarrow")
-            ),
-            "k",
-            _relabel_runs,
-            _P(rows + peeled_rows),
-            min_run=1,
-            sort_extra=["s"],
-        )
+    finals = map_key_runs(
+        eds.map_batches(_relabel_rows(0), batch_format="pyarrow").union(
+            peeled.map_batches(_relabel_rows(1), batch_format="pyarrow")
+        ),
+        "k",
+        _relabel_runs,
+        _P(rows + peeled_rows),
+        min_run=1,
+        sort_extra=["s"],
     )
 
     # children rows are globally unique; root rows need one slim

@@ -426,14 +426,8 @@ def _pair_set_verify(pairs, slim_ds, id_col, text_col, n, num_partitions, thresh
     on either."""
     import ray
 
-    from raydedup.stages.grouped import (
-        auto_partitions,
-        map_key_runs,
-        staged,
-        unique_rows_partitioned,
-    )
+    from raydedup.stages.grouped import auto_partitions, map_key_runs, unique_rows_partitioned
 
-    pairs = staged(pairs)  # candidate shuffle finishes before the joins start
     psch = pairs.schema()
     if psch is None:  # no candidates at all (empty corpus): empty result
         import ray.data as rd
@@ -488,13 +482,7 @@ def _pair_set_verify(pairs, slim_ds, id_col, text_col, n, num_partitions, thresh
                 threshold, mode,
             )
 
-        # downstream of the dedupe shuffle is map-only, so it stays
-        # lazy — one execution for shuffle + score + consume
         return deduped.map_batches(score_map, batch_format="pyarrow", batch_size=None)
-
-    # shuffle branch: the attach stage is itself a keyed shuffle, so pin
-    # the dedupe shuffle first (two live keyed shuffles ran ~2× slower)
-    pairs = staged(deduped)
 
     def halves(batch: pa.Table) -> pa.Table:
         n_rows = len(batch)
@@ -530,7 +518,7 @@ def _pair_set_verify(pairs, slim_ds, id_col, text_col, n, num_partitions, thresh
             }
         )
 
-    joined_in = pairs.map_batches(halves, batch_format="pyarrow").union(
+    joined_in = deduped.map_batches(halves, batch_format="pyarrow").union(
         blobs.map_batches(tag_blobs, batch_format="pyarrow")
     )
 
@@ -568,9 +556,7 @@ def _pair_set_verify(pairs, slim_ds, id_col, text_col, n, num_partitions, thresh
 
     # the attach shuffle carries 2·pairs half rows + the corpus blobs —
     # size by whichever dominates
-    half_blobs = staged(
-        map_key_runs(joined_in, "key", attach, max(num_partitions, pair_parts))
-    )
+    half_blobs = map_key_runs(joined_in, "key", attach, max(num_partitions, pair_parts))
 
     def score(block: pa.Table, starts, ends) -> pa.Table:
         # each run = one (id_a, id_b) candidate: locate the side-0 and

@@ -1,29 +1,30 @@
-"""Vectorized group processing: range-partition + sort + per-block runs.
+"""Vectorized group processing: hash-partition + per-partition runs.
 
 ``GroupedData.map_groups`` invokes Python once per group and builds an
 Arrow table per group — ruinous when the grouping key has millions of
 tiny groups (LSH buckets, anchor windows). ``map_key_runs`` is the
 engine's one path for keyed run processing instead:
 
-1. ``keyed_partitions`` (internal): ``repartition(P)`` (coalesce to P
-   blocks), then ``sort(keys)`` — a task-only range partition (sampled
-   boundaries, a split in P map tasks, a merge in P reduce tasks).
-   Every key lands wholly inside one block: a reducer returns one
-   merged block, and the sort is on exactly the run keys, so no
-   boundary falls inside a run;
-2. one ``map_batches(batch_size=None)`` per partition sorts the block
-   by the keys (plus any secondary columns) and finds its runs with
+1. ``keyed_partitions`` (internal), the engine's one keyed shuffle, on
+   plain Ray tasks: at most P split tasks hash the key tuple of their
+   contiguous input blocks and return P slices each, then P reduce
+   tasks concatenate one slice from every split task, so every key
+   lies wholly inside one partition, and call a per-partition
+   function on it;
+2. for ``map_key_runs`` that function sorts the partition by the keys
+   (plus any secondary columns) and finds its runs with
    ``_run_bounds``, one Arrow compare per key, so the run function sees
    a whole partition and never runs Python per group.
 
 The partition count P is the knob that maps to cluster width. It
-starts no actors. Every keyed operator here sits on the same keyed
-grouping: ``unique_rows_partitioned`` is a ``map_key_runs`` that keeps
-each run's first row; ``aggregate_per_key`` is the grouped
-sum/min/max/count with a map-side combiner; ``top_k_per_key`` keeps the
-first k rows per key without a keyed shuffle, on ``_run_bounds``.
-``map_blocks`` runs a map over a pinned table or a lazy read as at
-most one plain Ray task per CPU.
+starts no actors and runs no Ray Data operator after the shuffle.
+Every keyed operator here sits on the same keyed grouping:
+``unique_rows_partitioned`` is a ``map_key_runs`` that keeps each run's
+first row; ``aggregate_per_key`` is the grouped sum/min/max/count with
+a map-side combiner; ``top_k_per_key`` keeps the first k rows per key
+without a keyed shuffle, on ``_run_bounds``. ``map_blocks`` runs a map
+over a pinned table or a lazy read as at most one plain Ray task per
+CPU.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from raydedup.hashing import ragged_arange
 
 def effective_partitions(requested: int) -> int:
     """Clamp a partition count to the cluster's CPU budget. A keyed
-    shuffle runs one sample, one map and one reduce task per partition;
-    tasks queued beyond the CPU budget make the raylet pre-start idle
+    shuffle runs one split and one reduce task per partition; tasks
+    queued beyond the CPU budget make the raylet pre-start idle
     workers (≈ 77 MB each), while on a big cluster the requested count
     scales up."""
     try:
@@ -52,7 +53,7 @@ def effective_partitions(requested: int) -> int:
 
 def auto_partitions(ds_or_rows, requested: int | None = None, rows_per_partition: int = 16384) -> int:
     """Partition count scaled to the INPUT size, capped at the cluster
-    CPU budget. Each partition of a keyed shuffle costs three tasks
+    CPU budget. Each partition of a keyed shuffle costs two tasks
     with a fixed scheduling cost, so small inputs want few partitions;
     any corpus beyond ``cpus × rows_per_partition`` rows hits the CPU
     cap, so cluster-scale behavior is unchanged. The 16k-row default
@@ -75,51 +76,98 @@ def meta_count(ds) -> int | None:
         return None
 
 
-# Inputs at or below this row count skip the sort and run keyed
-# grouping as ONE map task over a metadata-level coalesce. A distributed
-# sort is a sample, a map and a reduce round of tasks. On 65,537 slim
-# rows (2-CPU session on a 1-CPU host) it took 0.70-0.92 s in traced
-# perfbench probes and 0.08-0.72 s (median 0.17 s) over 5 warm
-# repeats, against 0.05-0.16 s for the coalesced task.
-# The single-task path is semantically identical — all rows of a key in
-# one sorted block — and 64k rows of the engine's widest shuffle rows
-# (signature fixed_size_list<uint32,128> ≈ 0.5 KB) is ~32 MB, well
-# inside one worker's heap. Any corpus beyond the threshold takes the
-# distributed sort, so cluster-scale behavior is unchanged.
+# Inputs at or below this row count run keyed grouping as ONE reduce
+# task over all input blocks, with no split round (P = 1): a split
+# round is a second task round-trip for every partition. 64k rows of
+# the engine's widest shuffle rows (signature fixed_size_list<uint32,
+# 128> ≈ 0.5 KB) is ~32 MB, well inside one worker's heap; any input
+# beyond the threshold is hash-partitioned, so cluster-scale behavior
+# is unchanged.
 SMALL_SHUFFLE_ROWS = 65536
 
+# Any fixed seed: every split task must hash a key tuple alike.
+_KEY_SEED = 0x5EED
 
-def keyed_partitions(ds, keys: list[str], num_partitions: int, approx_rows: int | None = None):
-    """Blocks in which every distinct ``keys`` tuple lies wholly in one
-    block: the engine's one keyed shuffle.
 
-    Small inputs (see SMALL_SHUFFLE_ROWS) coalesce into one block; only
-    a metadata-cheap row count — or a caller-supplied UPPER BOUND
-    (``approx_rows``, e.g. for a union the planner can't size) — can
-    trigger that, so datasets with real lineage never pay an execution
-    to size themselves. Larger inputs coalesce to P blocks first (a
-    sort runs one sample, map and reduce task per INPUT block) and then
-    range-partition with ``sort(keys)``. Sort on exactly the run keys:
-    multi-column boundaries are tuples, so a secondary column would let
-    a boundary fall inside a run. Callers sort in-block: the coalesced
-    block is unsorted, a secondary order is never a partition key, and
-    empty sort partitions come back as zero-column tables."""
-    rows = meta_count(ds)
-    if rows is None:
-        rows = approx_rows
-    if rows is not None and rows <= SMALL_SHUFFLE_ROWS:
-        return ds.repartition(1)  # split/merge of block refs
-    return ds.repartition(effective_partitions(num_partitions)).sort(list(keys))
+def _key_partition(t: pa.Table, keys: list[str], num_partitions: int) -> np.ndarray:
+    """Partition index in [0, P) of every row of ``t``: polars' row hash
+    of the ``keys`` tuple, so equal tuples, nulls included, get one
+    index in every process. Dictionary columns are decoded first
+    (polars hashes a category by its code)."""
+    import polars as pl
+
+    cols = [c.cast(c.type.value_type) if pa.types.is_dictionary(c.type) else c for c in t.select(keys).columns]
+    h = pl.from_arrow(pa.table(cols, names=keys)).hash_rows(seed=_KEY_SEED).to_numpy()
+    return (h % np.uint64(num_partitions)).astype(np.int64)
+
+
+def _concat(blocks) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    return pa.concat_tables([BlockAccessor.for_block(b).to_arrow() for b in blocks], promote_options="permissive")
+
+
+def _split_task(keys, num_partitions, *blocks):
+    """The rows of ``blocks`` as P slices: slice i holds the rows whose
+    key tuple hashes to partition i."""
+    t = _concat(blocks)
+    part = _key_partition(t, keys, num_partitions)
+    cuts = np.concatenate(([0], np.cumsum(np.bincount(part, minlength=num_partitions))))
+    t = t.take(pa.array(np.argsort(part, kind="stable")))
+    return tuple(t.slice(cuts[i], cuts[i + 1] - cuts[i]) for i in range(num_partitions))
+
+
+def _reduce_task(fn, *slices):
+    """``fn`` over one whole partition, with its output's block
+    metadata; ``(None, None)`` for an empty partition."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    t = _concat(slices)
+    if t.num_rows == 0:
+        return None, None
+    out = fn(t)
+    return out, BlockMetadataWithSchema.from_block(out)
+
+
+def keyed_partitions(ds, keys: list[str], num_partitions: int, fn):
+    """``fn(pa.Table) -> pa.Table`` over every key partition of ``ds``:
+    the engine's one keyed shuffle. Every distinct ``keys`` tuple lies
+    wholly inside one partition; ``fn`` gets each non-empty partition
+    once, as one unsorted table, and never an empty one.
+
+    Eager: a lazy ``ds`` executes once, here, and the block metadata
+    of its output gives the exact row count. Up to SMALL_SHUFFLE_ROWS
+    rows run as one reduce task over all the blocks (P = 1). Above it,
+    at most P = ``effective_partitions(num_partitions)`` split tasks
+    each take contiguous input blocks and return P slices by the key
+    hash, and P reduce tasks each concatenate their slices and call
+    ``fn``. Returns a materialized Dataset of ``fn``'s outputs, one
+    block per non-empty partition, in no key order across blocks. A
+    hot key lands wholly in one partition."""
+    import ray
+
+    blocks, rows = _input_blocks(ds)
+    if not blocks:
+        return _pinned_dataset([], [])
+    if rows <= SMALL_SHUFFLE_ROWS:
+        parts = [blocks]
+    else:
+        p = effective_partitions(num_partitions)
+        per = -(-len(blocks) // p)
+        split = _remote(_split_task).options(num_returns=p)
+        slices = [split.remote(keys, p, *blocks[i : i + per]) for i in range(0, len(blocks), per)]
+        parts = [[s[i] for s in slices] for i in range(p)]
+    fn_ref = ray.put(fn)
+    reduce = _remote(_reduce_task).options(num_returns=2)
+    outs = [reduce.remote(fn_ref, *part) for part in parts]
+    metas = ray.get([o[1] for o in outs])
+    return _pinned_dataset([o[0] for o, m in zip(outs, metas) if m is not None], [m for m in metas if m is not None])
 
 
 def staged(ds):
-    """Execute-and-pin a stage output (object-store blocks, spillable).
-
-    Sequential staged executions keep one shuffle live at a time (Ray
-    2.49's streaming executor ran the substring pipeline 2× slower with
-    several all-to-all operators in one plan), and the barrier is free
-    in practice: every consumer of these outputs is itself an
-    all-to-all."""
+    """Execute-and-pin a lazy stage output that more than one consumer
+    reads (object-store blocks, spillable), so its lineage runs once.
+    A keyed result needs no pin: ``keyed_partitions`` is eager."""
     return ds.materialize()
 
 
@@ -128,6 +176,26 @@ def _map_blocks_task(fn, *blocks):
 
     out = pa.concat_tables([fn(BlockAccessor.for_block(b).to_arrow()) for b in blocks])
     return out, BlockMetadataWithSchema.from_block(out)
+
+
+_REMOTE: dict = {}
+
+
+def _remote(task):
+    """``ray.remote(task)``, built once per process."""
+    if task not in _REMOTE:
+        import ray
+
+        _REMOTE[task] = ray.remote(task)
+    return _REMOTE[task]
+
+
+def _input_blocks(ds) -> tuple[list, int]:
+    """The refs of ``ds``'s non-empty blocks and their total row count,
+    from the block metadata; a lazy ``ds`` executes once, here, and its
+    blocks stay in the object store while the refs are held."""
+    metas = [(ref, meta.num_rows) for bundle in ds.iter_internal_ref_bundles() for ref, meta in bundle.blocks if meta.num_rows != 0]
+    return [ref for ref, _ in metas], sum(n for _, n in metas)
 
 
 def _pinned_dataset(refs: list, meta: list):
@@ -145,9 +213,6 @@ def _pinned_dataset(refs: list, meta: list):
     return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, meta), plan._context))
 
 
-_remote_map_blocks = None
-
-
 def map_blocks(ds, fn):
     """``fn(pa.Table) -> pa.Table`` over every non-empty block of
     ``ds``, as at most P = ``effective_partitions`` plain Ray tasks.
@@ -160,7 +225,8 @@ def map_blocks(ds, fn):
     started for it.
 
     For maps over a pinned table (the band explode, the substring
-    passes) or a lazy read (the signature map). Before an operator's
+    passes, the split of the components peel output) or a lazy read
+    (the signature map). Before an operator's
     first task reports its output size, Ray Data 2.49 budgets it at
     twice ``target_max_block_size`` (256 MiB), which is the whole Ray
     Data store share of a 512 MiB object store, so a ``map_batches``
@@ -176,15 +242,13 @@ def map_blocks(ds, fn):
     returns an empty Dataset with no blocks."""
     import ray
 
-    global _remote_map_blocks
-    blocks = [ref for bundle in ds.iter_internal_ref_bundles() for ref, meta in bundle.blocks if meta.num_rows != 0]
+    blocks, _ = _input_blocks(ds)
     if not blocks:
         return _pinned_dataset([], [])
-    if _remote_map_blocks is None:
-        _remote_map_blocks = ray.remote(num_returns=2)(_map_blocks_task)
     fn_ref = ray.put(fn)
     per = -(-len(blocks) // effective_partitions(len(blocks)))
-    outs = [_remote_map_blocks.remote(fn_ref, *blocks[i : i + per]) for i in range(0, len(blocks), per)]
+    task = _remote(_map_blocks_task).options(num_returns=2)
+    outs = [task.remote(fn_ref, *blocks[i : i + per]) for i in range(0, len(blocks), per)]
     return _pinned_dataset([o[0] for o in outs], ray.get([o[1] for o in outs]))
 
 
@@ -229,7 +293,7 @@ def _run_bounds(block: pa.Table, keys: list[str]):
     return np.concatenate(([0], idx)), np.concatenate((idx, [n]))
 
 
-def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run: int = 2, sort_extra: list[str] | tuple = (), approx_rows: int | None = None, **map_kwargs):
+def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run: int = 2, sort_extra: list[str] | tuple = ()):
     """Apply ``run_fn(block, starts, ends)`` to every key partition:
     the engine's one path for keyed run processing.
 
@@ -242,27 +306,21 @@ def map_key_runs(ds, keys: str | list[str], run_fn, num_partitions: int, min_run
     groups, the common case for LSH buckets, are pre-filtered).
     ``run_fn`` returns a pyarrow.Table.
 
-    Partitions come from ``keyed_partitions``; ``per_block`` sorts
-    in-block (the coalesced path arrives unsorted, and ``sort_extra``
-    is never a range-partition key). Ray 2.49 skips the map UDF on
-    empty blocks, so empty partitions — zero-column tables out of the
-    sort — never reach ``run_fn`` from the shuffle.
+    Partitions come from ``keyed_partitions``, so the call is eager
+    and returns a materialized Dataset; each partition is sorted in
+    its reduce task, and an empty partition never reaches ``run_fn``.
     """
     if isinstance(keys, str):
         keys = [keys]
-    parted = keyed_partitions(ds, keys, num_partitions, approx_rows)
+    spec = [(c, "ascending") for c in dict.fromkeys([*keys, *sort_extra])]
 
-    sort_cols = list(keys) + [c for c in sort_extra if c not in keys]
-
-    def per_block(block: pa.Table) -> pa.Table:
-        if len(block) == 0:
-            return run_fn(block, np.empty(0, np.int64), np.empty(0, np.int64))
-        block = block.sort_by([(k, "ascending") for k in sort_cols])
+    def per_partition(block: pa.Table) -> pa.Table:
+        block = block.sort_by(spec)
         starts, ends = _run_bounds(block, keys)
         multi = (ends - starts) >= min_run
         return run_fn(block, starts[multi], ends[multi])
 
-    return parted.map_batches(per_block, batch_size=None, batch_format="pyarrow", **map_kwargs)
+    return keyed_partitions(ds, keys, num_partitions, per_partition)
 
 
 def top_k_per_key(ds, keys: list[str], order: list[tuple[str, str]], k: int):
@@ -314,51 +372,42 @@ def aggregate_per_key(ds, keys: list[str], aggs: dict[str, tuple[str, str]]):
     row order is unspecified.
 
     One kernel, two passes: every block collapses to one row per key
-    (the combiner, pyarrow's ``group_by``), the partials are pinned, and
-    the same kernel merges them per key partition (counts merge as
-    sums). Pinning makes the partial row count metadata-cheap, so
-    ``keyed_partitions`` sizes the merge from the partials, not the
-    input.
+    (the combiner, pyarrow's ``group_by``), then ``keyed_partitions``
+    merges the partials per key partition with the same kernel (counts
+    merge as sums).
 
     The kernel never groups on a column holding nulls: a key with nulls
     is grouped as a null-free copy plus a validity flag, because pyarrow
     16's multi-key ``group_by`` splits groups when a key holds nulls (a
     string key before an int64 key with nulls gave 46 groups for 43
-    distinct keys). The merge sorts on the null-free copies too, since
-    Ray's sort boundary search compares None with ``<`` and raises on
-    string keys; a null and its fill value then share one block, and
-    the validity flag keeps them apart."""
+    distinct keys)."""
     merge = {out: (out, _MERGE[fn]) for out, (_, fn) in aggs.items()}  # KeyError: not sum/min/max/count
-    sort_keys = [f"__key{i}" for i in range(len(keys))]
 
-    def kernel(specs: dict[str, tuple[str, str]], with_sort_keys: bool):
+    def kernel(specs: dict[str, tuple[str, str]]):
         pairs = list(dict.fromkeys(specs.values()))  # each (col, fn) once
 
         def fn(block: pa.Table) -> pa.Table:
             by = {}
             for i, k in enumerate(keys):
                 col = block.column(k)
-                by[sort_keys[i]] = _null_free(col)
+                by[f"__key{i}"] = _null_free(col)
                 if col.null_count:
                     by[f"__valid{i}"] = pc.is_valid(col)
             t = pa.table({**by, **{c: block.column(c) for c, _ in pairs}})
             g = t.group_by(list(by), use_threads=False).aggregate(pairs)
             cols = {}
-            for i, (k, s) in enumerate(zip(keys, sort_keys)):
-                kc = g.column(s)
+            for i, k in enumerate(keys):
+                kc = g.column(f"__key{i}")
                 if f"__valid{i}" in by:
                     kc = pc.if_else(g.column(f"__valid{i}"), kc, pa.nulls(len(g), kc.type))
                 cols[k] = kc
             cols.update({out: g.column(f"{c}_{f}") for out, (c, f) in specs.items()})
-            if with_sort_keys:
-                cols.update({s: g.column(s) for s in sort_keys})
             return pa.table(cols)
 
         return fn
 
-    pre = staged(ds.map_batches(kernel(aggs, True), batch_size=None, batch_format="pyarrow"))
-    parted = keyed_partitions(pre, sort_keys, auto_partitions(pre))
-    return parted.map_batches(kernel(merge, False), batch_size=None, batch_format="pyarrow")
+    pre = ds.map_batches(kernel(aggs), batch_size=None, batch_format="pyarrow")
+    return keyed_partitions(pre, keys, auto_partitions(ds), kernel(merge))
 
 
 def unique_rows_partitioned(ds, keys: list[str], num_partitions: int):

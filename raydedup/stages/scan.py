@@ -62,7 +62,8 @@ def exclusive_prefix_sum(
 ):
     """Add ``out_col`` = sum of ``value_col`` over all rows with a
     smaller ``order_col`` (exclusive running total in ``order_col``
-    order). Returns a Dataset; input should be slim (project first)."""
+    order). Returns a Dataset whose blocks are not in ``order_col``
+    order; input should be slim (project first)."""
     slim = staged(ds)
     parts = effective_partitions(
         num_partitions if num_partitions is not None else auto_partitions(slim)

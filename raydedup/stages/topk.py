@@ -82,8 +82,6 @@ def forest_prefix_table(sig_ds, id_col: str = "image_id", l: int = 8, k: int = 1
     :func:`forest_topk` — the indexed path for repeated top-k queries
     that the exact-scan :func:`topk_similar` does not provide."""
     from raydedup.schema import sig_to_numpy
-    from raydedup.stages.grouped import auto_partitions, staged
-
     if l * k > num_perm:
         raise ValueError("l*k must be ≤ num_perm")
 
@@ -126,7 +124,7 @@ def forest_topk(prefix_ds, query_sigs: np.ndarray, query_ids, topk: int = 10, id
     (query_id, {id_col}) of ≤ topk rows per query."""
     import ray
 
-    from raydedup.stages.grouped import auto_partitions, map_key_runs, staged
+    from raydedup.stages.grouped import auto_partitions, map_key_runs
 
     if num_partitions is None:
         num_partitions = auto_partitions(prefix_ds)
@@ -193,7 +191,7 @@ def forest_topk(prefix_ds, query_sigs: np.ndarray, query_ids, topk: int = 10, id
             }
         )
 
-    matches = staged(map_key_runs(joined, "bucket", emit, num_partitions))
+    matches = map_key_runs(joined, "bucket", emit, num_partitions)
 
     def rank(block: pa.Table, starts, ends) -> pa.Table:
         qcol = block.column("qid").to_pylist()
@@ -325,6 +323,13 @@ def optimal_partitions(sizes: np.ndarray, counts: np.ndarray, num_part: int):
 _XQ_GRID = np.exp(np.linspace(-5, 5, 10))  # reference lshensemble.py:157
 
 
+def _salt(pi: int, r: int) -> np.uint64:
+    """Bucket salt of size partition ``pi`` and band width ``r``: two
+    64-bit products, wrapped on purpose, in Python ints (numpy scalar
+    products warn on the wrap)."""
+    return np.uint64(((pi + 1) * 0x9E3779B97F4A7C15 ^ r * 0xC2B2AE3D27D4EB4F) & 0xFFFFFFFFFFFFFFFF)
+
+
 def ensemble_containment_candidates(
     sig_ds,
     id_col: str,
@@ -402,12 +407,6 @@ def ensemble_containment_candidates(
 
     uppers = [u for (_, u) in parts]
     lowers = [l for (l, _) in parts]
-
-    def _salt(pi: int, r: int) -> np.uint64:
-        return (
-            np.uint64(pi + 1) * np.uint64(0x9E3779B97F4A7C15)
-            ^ np.uint64(r) * np.uint64(0xC2B2AE3D27D4EB4F)
-        )
 
     def explode(batch: pa.Table) -> pa.Table:
         sig = sig_to_numpy(batch.column("minhash"), num_perm)
@@ -496,7 +495,5 @@ def ensemble_containment_candidates(
             a = b = []
         return pa.table({"id_a": pa.array(a, typ), "id_b": pa.array(b, typ)})
 
-    from raydedup.stages.grouped import staged
-
-    pairs = staged(map_key_runs(exploded, "bucket", per_runs, num_partitions))
+    pairs = map_key_runs(exploded, "bucket", per_runs, num_partitions)
     return unique_rows_partitioned(pairs, ["id_a", "id_b"], num_partitions)

@@ -97,10 +97,10 @@ def ray_session():
 
 @pytest.fixture(params=["distributed", "coalesced"])
 def shuffle_mode(request, monkeypatch):
-    """Run keyed-shuffle tests on BOTH paths: the in-memory test tables
-    are metadata-countable, so without forcing SMALL_SHUFFLE_ROWS=0 the
-    small-input coalesce would silently take over and the distributed
-    empty-partition regressions would go unexercised."""
+    """Run keyed-shuffle tests on BOTH paths: the test tables are small,
+    so without forcing SMALL_SHUFFLE_ROWS=0 each would run as one task
+    (P = 1), and the split round and its empty partitions would go
+    unexercised."""
     import raydedup.stages.grouped as G
 
     if request.param == "distributed":

@@ -1,12 +1,12 @@
 """Regression tests for the keyed-shuffle primitive (stages/grouped.py).
 
-Keyed grouping is a coalesce to P blocks plus a range-partition sort;
-every distinct key must reach exactly one ``per_block`` call, also when
-partitions far outnumber keys (empty sort partitions come back as
-zero-column tables, and Ray 2.49 skips map UDFs on empty blocks) and
-when blocks exceed a small ``target_max_block_size``. These tests chain
-keyed shuffles with far more partitions than keys and verify results
-stay correct on both sides of the SMALL_SHUFFLE_ROWS gate.
+Keyed grouping is a hash split into P slices per split task and one
+reduce task per partition; every distinct key must reach exactly one
+per-partition call, also when partitions far outnumber keys (most
+partitions are empty and never reach the run function) and when blocks
+exceed a small ``target_max_block_size``. These tests chain keyed
+shuffles with far more partitions than keys and verify results stay
+correct on both sides of the SMALL_SHUFFLE_ROWS gate (P = 1 below it).
 """
 
 from __future__ import annotations
@@ -57,13 +57,16 @@ def test_map_key_runs_more_partitions_than_keys(ray_session, shuffle_mode):
 
 def test_map_key_runs_unsorted_input_runs_are_whole_groups(ray_session, shuffle_mode):
     """Groups arrive unsorted within a partition (no finalize sort);
-    per-block sort must still present each key as one contiguous run."""
-    from raydedup.stages.grouped import map_key_runs
+    the in-partition sort must still present each key as one contiguous
+    run. Also over a union, whose row count is not in its metadata: the
+    shuffle sizes itself from the executed blocks."""
+    from raydedup.stages.grouped import map_key_runs, meta_count
 
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 20, size=400).astype(np.uint64)
     t = pa.table({"k": pa.array(keys), "v": pa.array(np.arange(400), pa.int64())})
-    ds = _ds_from_table(t, 4)
+    union = _ds_from_table(t, 3).union(_ds_from_table(t, 2))
+    assert meta_count(union) is None
 
     def emit(block: pa.Table, starts, ends) -> pa.Table:
         ks = block.column("k").to_numpy(zero_copy_only=False)
@@ -78,10 +81,11 @@ def test_map_key_runs_unsorted_input_runs_are_whole_groups(ray_session, shuffle_
             }
         )
 
-    out = map_key_runs(ds, "k", emit, 16).take_all()
-    got = {r["k"]: r["n"] for r in out}
-    expected = {int(k): int(n) for k, n in zip(*np.unique(keys, return_counts=True)) if n >= 2}
-    assert got == expected
+    for ds, copies in ((_ds_from_table(t, 4), 1), (union, 2)):
+        out = map_key_runs(ds, "k", emit, 16).take_all()
+        got = {r["k"]: r["n"] for r in out}
+        uniq, counts = np.unique(keys, return_counts=True)
+        assert got == {int(k): int(n) * copies for k, n in zip(uniq, counts) if n * copies >= 2}
 
 
 @pytest.fixture
@@ -97,20 +101,26 @@ def small_blocks():
     ctx.target_max_block_size = old
 
 
-@pytest.mark.parametrize("keys", [["k"], ["id_a", "id_b"], ["u"], ["s"], ["s", "id_a"]])
+@pytest.mark.parametrize("keys", [["k"], ["id_a", "id_b"], ["u"], ["s"], ["s", "id_a"], ["sn"], ["sn", "in"]])
 def test_map_key_runs_every_key_in_one_call(ray_session, shuffle_mode, small_blocks, keys):
-    """Each key reaches exactly one ``per_block`` call: 30k rows in 20
+    """Each key reaches exactly one per-partition call: 30k rows in 20
     input blocks over 4 partitions, with 16 KiB target blocks, never
-    split a run across the sort's output blocks — also for a two-column
-    key, whose range boundaries are tuples, a full-range uint64 key and
-    string keys (``''`` and non-ASCII included)."""
+    split a run across output blocks — also for a two-column key, a
+    full-range uint64 key and string keys (``''`` and non-ASCII
+    included). Keys holding nulls (a/b/c/null strings, alone and before
+    an int64 with nulls) run 80k rows in 8 blocks, above
+    SMALL_SHUFFLE_ROWS on both sides: a null is its own group, as in
+    pandas ``groupby(dropna=False)``."""
     import uuid
+
+    import pandas as pd
 
     from raydedup.stages.grouped import map_key_runs
 
     rng = np.random.default_rng(11)
-    n = 30_000
+    n, blocks = (80_000, 8) if "sn" in keys else (30_000, 20)
     words = np.array(["", "é", "a\x00"] + [f"w{i}" for i in range(2_000)], dtype=object)
+    abc = np.array(["a", "b", "c", None], dtype=object)
     t = pa.table(
         {
             "k": pa.array(rng.integers(0, 5_000, n), pa.int64()),
@@ -118,10 +128,12 @@ def test_map_key_runs_every_key_in_one_call(ray_session, shuffle_mode, small_blo
             "id_b": pa.array(rng.integers(0, 100, n), pa.int64()),
             "u": pa.array(rng.integers(0, 4_000, n, dtype=np.uint64) * np.uint64(4_611_686_018_427_387), pa.uint64()),
             "s": pa.array(words[rng.integers(0, len(words), n)].tolist(), pa.string()),
+            "sn": pa.array(abc[rng.integers(0, 4, n)].tolist(), pa.string()),
+            "in": pa.array(rng.integers(0, 30, n), pa.int64(), mask=rng.random(n) < 0.1),
             "v": pa.array(np.arange(n), pa.int64()),
         }
     )
-    ds = _ds_from_table(t, 20)
+    ds = _ds_from_table(t, blocks)
 
     def emit(block: pa.Table, starts, ends) -> pa.Table:
         call = uuid.uuid4().hex
@@ -135,13 +147,17 @@ def test_map_key_runs_every_key_in_one_call(ray_session, shuffle_mode, small_blo
             }
         )
 
+    def groups(df) -> dict:
+        return {tuple(None if pd.isna(x) else x for x in row[:-1]): row[-1] for row in df[keys + ["n"]].itertuples(index=False)}
+
     out = map_key_runs(ds, keys, emit, 4, min_run=1).to_pandas()
-    want = t.to_pandas().groupby(keys).size()
+    want = t.to_pandas().groupby(keys, dropna=False).size().rename("n").reset_index()
     # one output row per key means one run in one call
     assert not out.duplicated(keys).any()
-    got = out.set_index(keys)["n"].sort_index()
-    assert got.to_dict() == want.to_dict()
-    if shuffle_mode == "distributed":
+    assert groups(out) == groups(want)
+    if "sn" in keys:
+        assert (None,) * len(keys) in groups(want)
+    if shuffle_mode == "distributed" or "sn" in keys:
         assert out["call"].nunique() >= 2
 
 
@@ -297,8 +313,7 @@ def test_aggregate_per_key_matches_pandas(ray_session, shuffle_mode):
     and a zero-row input block, against pandas (``dropna=False``, SQL
     semantics: an all-null sum is null, count skips nulls); ``aggs={}``
     gives the distinct keys. A string key with nulls before an int key
-    with nulls splits groups in pyarrow 16's multi-key ``group_by``, and
-    raises in Ray's sort boundary search on the distributed side."""
+    with nulls splits groups in pyarrow 16's multi-key ``group_by``."""
     import pandas as pd
     import ray.data as rd
 
@@ -333,52 +348,6 @@ def test_aggregate_per_key_matches_pandas(ray_session, shuffle_mode):
     distinct = aggregate_per_key(ds, ["b", "a"], {}).take_all()
     assert len(distinct) == len(want)
     assert {(na(r["a"]), na(r["b"])) for r in distinct} == set(want)
-
-
-def test_map_key_runs_approx_rows_hint(ray_session):
-    """A union the planner can't size takes the coalesced path when the
-    caller supplies a sound row bound — and the result matches the
-    distributed path exactly."""
-    import raydedup.stages.grouped as G
-    from raydedup.stages.grouped import map_key_runs, meta_count
-
-    t = pa.table(
-        {
-            "k": pa.array(np.repeat(np.arange(10), 10), pa.int64()),
-            "v": pa.array(np.arange(100), pa.int64()),
-        }
-    )
-    # a union of two datasets loses the metadata count
-    ds = _ds_from_table(t, 3).union(_ds_from_table(t, 2))
-    assert meta_count(ds) is None
-
-    def span(block: pa.Table, starts, ends) -> pa.Table:
-        ks = block.column("k").to_numpy(zero_copy_only=False)
-        vs = block.column("v").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "k": pa.array([int(ks[s]) for s in starts], pa.int64()),
-                "lo": pa.array([int(vs[s:e].min()) for s, e in zip(starts, ends)], pa.int64()),
-                "n": pa.array([int(e - s) for s, e in zip(starts, ends)], pa.int64()),
-            }
-        )
-
-    hinted = {
-        (r["k"], r["lo"], r["n"])
-        for r in map_key_runs(ds, "k", span, 16, approx_rows=200).take_all()
-    }
-    forced = G.SMALL_SHUFFLE_ROWS
-    try:
-        G.SMALL_SHUFFLE_ROWS = 0
-        dist = {
-            (r["k"], r["lo"], r["n"])
-            for r in map_key_runs(ds, "k", span, 16, approx_rows=200).take_all()
-        }
-    finally:
-        G.SMALL_SHUFFLE_ROWS = forced
-    assert hinted == dist
-    assert {k for k, _, _ in hinted} == set(range(10))
-    assert all(n == 20 for _, _, n in hinted)
 
 
 def test_orders_by_segment_shuffle_fallback(ray_session):
@@ -640,7 +609,7 @@ ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ER
 rd.DataContext.get_current().enable_progress_bars = False
 import raydedup.stages.grouped as G
 
-G.SMALL_SHUFFLE_ROWS = 0  # force the distributed sort path
+G.SMALL_SHUFFLE_ROWS = 0  # force P > 1: a split round and two reduce tasks
 ds = rd.from_arrow(pa.table({"k": np.arange(2000) %% 500, "v": np.arange(2000)}))
 print(G.map_key_runs(ds, "k", lambda b, s, e: b, num_partitions=2).count())
 print(ds.groupby("k").count().count())  # keyed groupby-aggregate shuffle
@@ -703,9 +672,8 @@ def test_map_blocks_matches_map_batches(ray_session, sizes):
 def test_run_bounds_match_python_reference(case):
     """``_run_bounds`` on a sorted, multi-chunk block gives the runs of
     a Python scan over the rows: a null equals a null and differs from
-    every value, '' included. (Through ``map_key_runs`` the non-null
-    key types run in ``test_map_key_runs_every_key_in_one_call``; Ray's
-    range-partition sort cannot order None against a string.)"""
+    every value, '' included. (Through ``map_key_runs`` these key types
+    run in ``test_map_key_runs_every_key_in_one_call``.)"""
     from raydedup.stages.grouped import _run_bounds
 
     rng = np.random.default_rng(5)

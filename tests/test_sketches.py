@@ -299,6 +299,23 @@ def test_optimal_partitions_not_worse_than_reference(reference_datasketch):
         assert ours <= ref + 1e-9
 
 
+def test_ensemble_salt_wraps_without_warning():
+    """The ensemble bucket salt equals the wrapped ``np.uint64``
+    products it was defined with, and computing it raises no overflow
+    warning."""
+    import warnings
+
+    from raydedup.stages.topk import _salt
+
+    for pi, r in [(0, 1), (1, 8), (5, 13), (15, 32), (1023, 128)]:
+        # array products wrap silently; numpy scalar products warn
+        want = np.array([pi + 1], np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ np.array([r], np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _salt(pi, r)
+        assert isinstance(got, np.uint64) and got == want[0]
+
+
 def test_ensemble_containment_recall(ray_session):
     """Full-semantics LSH Ensemble (DP partitions + xq-grid params):
     every indexed set must be retrievable by an identical twin query at
